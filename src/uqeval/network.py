@@ -20,6 +20,7 @@ from .distributions import Gaussian
 
 LAYER_SIZES = (1, 256, 256, 256, 256, 2)
 VARIANCE_SHIFT = 1e-6
+FORWARD_CHUNK_ROWS = 4096  # rows per inference chunk; see _chunk_bounds
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -79,9 +80,45 @@ def _forward_hidden(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[
     return out, hiddens
 
 
+def _chunk_bounds(n: int) -> list[int]:
+    """Row offsets 0, C, 2C, ... with the remainder merged into the last chunk.
+
+    Every chunk therefore has the whole input (n < 2C) or C..2C-1 rows.
+    OpenBLAS rounds small products (the 256->2 layer at up to 1953 rows, a
+    1-row hidden layer) differently from large ones, so a short tail chunk
+    would change output bits relative to one single-batch pass.
+    """
+    return [i * FORWARD_CHUNK_ROWS for i in range(max(1, n // FORWARD_CHUNK_ROWS))] + [n]
+
+
+def _forward_raw(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Final linear output (N, 2) of `_forward_hidden`, keeping no activations."""
+    x = x.reshape(-1, 1)
+    bounds = _chunk_bounds(len(x))
+    width = bounds[-1] - bounds[-2]  # the last chunk is the widest
+    # ping-pong work buffers, reused by every chunk and hidden layer
+    bufs = [np.empty((width, LAYER_SIZES[1])) for _ in range(2)]
+    out = np.empty((len(x), LAYER_SIZES[-1]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        h = x[lo:hi]
+        for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+            nxt = bufs[i % 2][: hi - lo]
+            np.matmul(h, w, out=nxt)
+            nxt += b
+            h = np.maximum(nxt, 0.0, out=nxt)
+        np.matmul(h, params.weights[-1], out=out[lo:hi])
+        out[lo:hi] += params.biases[-1]
+    return out
+
+
 def forward(params: MlpParams, x: np.ndarray) -> Gaussian:
-    """Predictive distribution at the given inputs."""
-    out, _ = _forward_hidden(params, np.asarray(x, dtype=np.float64))
+    """Predictive distribution at the given inputs.
+
+    Inference-only: rows run through the layer chain in fixed chunks of
+    FORWARD_CHUNK_ROWS, so memory beyond the (N, 2) output stays constant
+    in N; the result is bit-identical to one `_forward_hidden` pass.
+    """
+    out = _forward_raw(params, np.asarray(x, dtype=np.float64))
     mean = out[:, 0]
     var = variance_from_raw(out[:, 1])
     if np.ndim(x) == 0:

@@ -8,6 +8,7 @@ per-sample records the metrics consume.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,12 +191,44 @@ def save_ensemble(predictor: EnsemblePredictor, path) -> None:
         np.savez(fh, **arrays)
 
 
+def _entry(archive, key: str, path) -> np.ndarray:
+    if key not in archive.files:
+        raise ValueError(f"model file {path}: missing array {key!r}")
+    return archive[key]
+
+
+def _param_entry(archive, key: str, shape: tuple[int, ...], path) -> np.ndarray:
+    arr = _entry(archive, key, path)
+    if arr.shape != shape or arr.dtype != np.float64:
+        raise ValueError(
+            f"model file {path}: array {key!r} is {arr.dtype} {arr.shape}, expected float64 {shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError(f"model file {path}: array {key!r} has non-finite values")
+    return arr
+
+
 def load_ensemble(path) -> EnsemblePredictor:
-    with np.load(path) as archive:
-        fmt = str(archive["format"])
-        if fmt != ENSEMBLE_FORMAT:
-            raise ValueError(f"unsupported model format {fmt!r}")
-        meta = json.loads(str(archive["config_json"]))
+    """Reads a `save_ensemble` archive.
+
+    A truncated archive, a malformed config, a missing or mis-shaped
+    parameter array, or a non-finite parameter raises ValueError naming
+    the file and the entry, before any inference runs.
+    """
+    try:
+        with np.load(path) as archive:
+            return _ensemble_from_archive(archive, path)
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"model file {path}: not a readable .npz archive ({exc})") from exc
+
+
+def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
+    fmt = str(_entry(archive, "format", path))
+    if fmt != ENSEMBLE_FORMAT:
+        raise ValueError(f"model file {path}: unsupported model format {fmt!r}")
+    text = str(_entry(archive, "config_json", path))
+    try:
+        meta = json.loads(text)
         config = TrainConfig(
             ensemble_size=int(meta["ensemble_size"]),
             epochs=int(meta["epochs"]),
@@ -208,13 +241,17 @@ def load_ensemble(path) -> EnsemblePredictor:
             ),
             seed=int(meta["seed"]),
         )
-        members = []
-        n_layers = len(LAYER_SIZES) - 1
-        for j in range(config.ensemble_size):
-            weights = [archive[f"member{j}_w{i}"] for i in range(n_layers)]
-            biases = [archive[f"member{j}_b{i}"] for i in range(n_layers)]
-            members.append(MlpParams(weights, biases))
-        history = tuple(tuple(row) for row in archive["history"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"model file {path}: malformed config_json ({exc!r})") from exc
+    if config.ensemble_size < 1:
+        raise ValueError(f"model file {path}: ensemble_size {config.ensemble_size} is not positive")
+    members = []
+    layers = list(enumerate(zip(LAYER_SIZES[:-1], LAYER_SIZES[1:])))
+    for j in range(config.ensemble_size):
+        weights = [_param_entry(archive, f"member{j}_w{i}", shape, path) for i, shape in layers]
+        biases = [_param_entry(archive, f"member{j}_b{i}", shape[1:], path) for i, shape in layers]
+        members.append(MlpParams(weights, biases))
+    history = tuple(tuple(row) for row in _entry(archive, "history", path))
     return EnsemblePredictor(tuple(members), config, history)
 
 

@@ -164,3 +164,52 @@ def test_artifacts_regenerate_byte_identically(tmp_path, model_path) -> None:
         os.remove(out)
         assert run(list(manifest.argv)) == 0
         assert sha256_file(out) == recorded
+
+
+def _corrupt_model(src, dst, edit) -> None:
+    with np.load(src) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    edit(arrays)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _nan_weight(arrays) -> None:
+    arrays["member2_w3"] = arrays["member2_w3"].copy()
+    arrays["member2_w3"][7, 11] = np.nan
+
+
+def _wrong_shape(arrays) -> None:
+    arrays["member0_w1"] = arrays["member0_w1"][:, :128]
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_nan_weight, "'member2_w3' has non-finite values"),
+        (lambda arrays: arrays.pop("member4_b2"), "missing array 'member4_b2'"),
+        (_wrong_shape, "'member0_w1' is float64 (256, 128), expected float64 (256, 256)"),
+        (lambda arrays: arrays.update(config_json=np.array('{"seed": 0}')),
+         "malformed config_json (KeyError('ensemble_size'))"),
+    ],
+    ids=["nan-weight", "missing-key", "wrong-shape", "bad-config"],
+)
+def test_eval_rejects_bad_model_file(tmp_path, model_path, capsys, edit, problem) -> None:
+    bad = tmp_path / "bad.npz"
+    _corrupt_model(model_path, bad, edit)
+    code = run(["eval", "--dataset", "homoscedastic", "--predictor", "ensemble",
+                "--model-path", str(bad), "--n", "16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: model file {bad}: " in err
+    assert problem in err
+
+
+def test_eval_rejects_truncated_model_file(tmp_path, model_path, capsys) -> None:
+    bad = tmp_path / "truncated.npz"
+    data = model_path.read_bytes()
+    bad.write_bytes(data[: len(data) // 2])
+    code = run(["eval", "--dataset", "homoscedastic", "--predictor", "ensemble",
+                "--model-path", str(bad), "--n", "16"])
+    assert code == 2
+    assert f"error: model file {bad}: not a readable .npz archive" in capsys.readouterr().err

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uqeval.distributions import Gaussian
 from uqeval.network import (
+    FORWARD_CHUNK_ROWS as C,
     AdamConfig,
     AdamState,
     LAYER_SIZES,
     MlpParams,
     VARIANCE_SHIFT,
+    _forward_hidden,
     adam_step,
     forward,
     gaussian_nll_terms,
@@ -58,6 +61,41 @@ def test_forward_returns_gaussian_with_shifted_variance() -> None:
     assert isinstance(scalar.mean, float)
     assert scalar.mean == pytest.approx(np.asarray(vector.mean)[0], rel=1e-15)
     assert scalar.variance == pytest.approx(np.asarray(vector.variance)[0], rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_chunked_forward_is_bit_identical_to_single_batch(seed) -> None:
+    # 1953/1954 straddle the OpenBLAS small-matrix cut of the 256->2 layer;
+    # the C-adjacent sizes fail for a layout with a short tail chunk
+    params = init_params(make_rng(seed))
+    for n in (1, 2, 1953, 1954, C - 1, C, C + 1, 2 * C - 1, 2 * C, 3 * C + 7, 65537):
+        x = make_rng(seed + n).uniform(-1.0, 1.0, size=n)
+        ref, _ = _forward_hidden(params, x)
+        dist = forward(params, x)
+        assert np.array_equal(np.asarray(dist.mean).view(np.uint64), ref[:, 0].view(np.uint64)), n
+        assert np.array_equal(
+            np.asarray(dist.variance).view(np.uint64),
+            variance_from_raw(ref[:, 1]).view(np.uint64),
+        ), n
+
+
+def _forward_peak_bytes(params: MlpParams, n: int) -> int:
+    x = np.linspace(-1.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        forward(params, x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_memory_is_bounded_in_rows() -> None:
+    params = init_params(make_rng(5))
+    small = _forward_peak_bytes(params, C)
+    big = _forward_peak_bytes(params, 32 * C)
+    assert big < 32 * C * 256 * 8  # one full-size hidden activation
+    # beyond the (N, 2) output and the variance, nothing grows with N
+    assert big - small < 32 * (32 * C - C)
 
 
 def test_loss_equals_negative_log_density() -> None:
