@@ -69,15 +69,30 @@ def variance_from_raw(raw: np.ndarray) -> np.ndarray:
     return softplus(raw) + VARIANCE_SHIFT
 
 
+def _hidden_layers(params: MlpParams, h: np.ndarray, bufs: list[np.ndarray] | None = None):
+    """Yields each hidden post-activation of input rows `h` (B, 1).
+
+    Without `bufs` every activation is a fresh array; with two work buffers
+    of at least B rows the layers write into them alternately, so each
+    yielded array is overwritten two layers later.
+    """
+    for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        h = np.matmul(h, w, out=None if bufs is None else bufs[i % 2][: len(h)])
+        h += b
+        yield np.maximum(h, 0.0, out=h)
+
+
+def _output_layer(params: MlpParams, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.matmul(h, params.weights[-1], out=out)
+    out += params.biases[-1]
+    return out
+
+
 def _forward_hidden(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Returns the final linear output (B, 2) and post-activation caches."""
-    h = x.reshape(-1, 1)
-    hiddens = [h]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-        hiddens.append(h)
-    out = h @ params.weights[-1] + params.biases[-1]
-    return out, hiddens
+    hiddens = [x.reshape(-1, 1)]
+    hiddens.extend(_hidden_layers(params, hiddens[0]))
+    return _output_layer(params, hiddens[-1]), hiddens
 
 
 def _chunk_bounds(n: int) -> list[int]:
@@ -91,34 +106,22 @@ def _chunk_bounds(n: int) -> list[int]:
     return [i * FORWARD_CHUNK_ROWS for i in range(max(1, n // FORWARD_CHUNK_ROWS))] + [n]
 
 
-def _forward_raw(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Final linear output (N, 2) of `_forward_hidden`, keeping no activations."""
-    x = x.reshape(-1, 1)
-    bounds = _chunk_bounds(len(x))
-    width = bounds[-1] - bounds[-2]  # the last chunk is the widest
-    # ping-pong work buffers, reused by every chunk and hidden layer
-    bufs = [np.empty((width, LAYER_SIZES[1])) for _ in range(2)]
-    out = np.empty((len(x), LAYER_SIZES[-1]))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        h = x[lo:hi]
-        for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
-            nxt = bufs[i % 2][: hi - lo]
-            np.matmul(h, w, out=nxt)
-            nxt += b
-            h = np.maximum(nxt, 0.0, out=nxt)
-        np.matmul(h, params.weights[-1], out=out[lo:hi])
-        out[lo:hi] += params.biases[-1]
-    return out
-
-
 def forward(params: MlpParams, x: np.ndarray) -> Gaussian:
     """Predictive distribution at the given inputs.
 
     Inference-only: rows run through the layer chain in fixed chunks of
-    FORWARD_CHUNK_ROWS, so memory beyond the (N, 2) output stays constant
-    in N; the result is bit-identical to one `_forward_hidden` pass.
+    FORWARD_CHUNK_ROWS using two reused work buffers, so memory beyond the
+    (N, 2) output stays constant in N; the result is bit-identical to one
+    `_forward_hidden` pass over all rows.
     """
-    out = _forward_raw(params, np.asarray(x, dtype=np.float64))
+    x_rows = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    bounds = _chunk_bounds(len(x_rows))
+    width = bounds[-1] - bounds[-2]  # the last chunk is the widest
+    bufs = [np.empty((width, LAYER_SIZES[1])) for _ in range(2)]
+    out = np.empty((len(x_rows), LAYER_SIZES[-1]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        *_, h = _hidden_layers(params, x_rows[lo:hi], bufs)
+        _output_layer(params, h, out=out[lo:hi])
     mean = out[:, 0]
     var = variance_from_raw(out[:, 1])
     if np.ndim(x) == 0:
