@@ -29,9 +29,7 @@ from .metrics import (
     WeightMode,
     ause,
     calibration_error,
-    empirical_frequency,
     evaluate,
-    mae,
     nll,
     rank,
     sparsification_curve,

@@ -75,11 +75,6 @@ def _require_nonempty(records: EvaluationRecords) -> None:
         raise ValueError("empty records")
 
 
-def mae(records: EvaluationRecords) -> float:
-    _require_nonempty(records)
-    return float(np.mean(records.abs_errors))
-
-
 # ----------------------------------------------------------------- sparsification
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +92,38 @@ class SparsificationCurve:
     by_oracle: np.ndarray
 
 
-def _removal_curve(values: np.ndarray, order: np.ndarray, removed: np.ndarray) -> np.ndarray:
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each tie run in a sorted array."""
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """Exactly np.argsort(values, kind="stable"), from one default sort.
+
+    Any argsort groups ties into runs; sorting the keys run_id * n + index
+    then puts each run back in index order.
+    """
     n = len(values)
-    total = float(values.sum())
+    order = np.argsort(values)
+    keys = np.cumsum(_run_starts(values[order]))
+    keys *= n
+    keys += order
+    keys.sort()
+    keys %= n
+    return keys
+
+
+def _removal_curve(ordered: np.ndarray, total: float, removed: np.ndarray) -> np.ndarray:
+    """Normalized retained MAE after removing the first `removed` of `ordered`."""
+    n = len(ordered)
     if total == 0.0:
         # all-zero errors: every retained subset has MAE 0; the normalized
         # curve is taken as identically 1
         return np.ones(len(removed))
-    prefix = np.concatenate([[0.0], np.cumsum(values[order])])
+    prefix = np.concatenate([[0.0], np.cumsum(ordered)])
     retained_mean = (total - prefix[removed]) / (n - removed)
     return retained_mean / (total / n)
 
@@ -116,7 +135,9 @@ def sparsification_curve(
 
     Ordering ties (notably constant uncertainties) are broken by a seeded
     uniform shuffle applied before a stable descending sort, so the result
-    is deterministic in (records, grid_size, tie_seed).
+    is deterministic in (records, grid_size, tie_seed).  Tied errors are
+    equal values, so the oracle curve only needs the sorted errors.  The
+    total is summed in shuffled order, which fixes its last bits.
     """
     _require_nonempty(records)
     n = len(records)
@@ -126,16 +147,15 @@ def sparsification_curve(
 
     perm = make_rng(derive_seed(tie_seed, TAG_TIEBREAK)).permutation(n)
     errors = records.abs_errors[perm]
-    uncertainties = records.uncertainties[perm]
-    order_by_u = np.argsort(-uncertainties, kind="stable")
-    order_by_e = np.argsort(-errors, kind="stable")
+    total = float(errors.sum())
+    order_by_u = _stable_order(-records.uncertainties[perm])
 
     fractions = np.arange(k) / k
     removed = np.floor(fractions * n).astype(np.int64)
     return SparsificationCurve(
         fractions=fractions,
-        by_uncertainty=_removal_curve(errors, order_by_u, removed),
-        by_oracle=_removal_curve(errors, order_by_e, removed),
+        by_uncertainty=_removal_curve(errors[order_by_u], total, removed),
+        by_oracle=_removal_curve(np.sort(errors)[::-1], total, removed),
     )
 
 
@@ -174,14 +194,6 @@ class CalibrationConfig:
         object.__setattr__(self, "thresholds", t)
 
 
-def empirical_frequency(pits: np.ndarray, p: float) -> float:
-    """Fraction of PIT values not exceeding p."""
-    pits = np.asarray(pits, dtype=np.float64)
-    if pits.size == 0:
-        raise ValueError("empty pits")
-    return float(np.count_nonzero(pits <= p) / pits.size)
-
-
 def calibration_error(pits: np.ndarray, config: CalibrationConfig | None = None) -> float:
     """Weighted squared deviation between nominal and observed coverage."""
     config = config or CalibrationConfig()
@@ -206,15 +218,36 @@ class RankTieMode(enum.Enum):
 
 
 def rank(values: np.ndarray, tie_mode: RankTieMode = RankTieMode.PAPER) -> np.ndarray:
+    """1-based ranks: int64 minimum ranks (PAPER) or float64 midranks (AVERAGE).
+
+    One argsort; each tie run takes the sorted positions of its first and
+    last element, scattered back through the sort order.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("values must be a nonempty 1-D array")
-    ordered = np.sort(values)
-    below = np.searchsorted(ordered, values, side="left")
+    n = len(values)
+    order = np.argsort(values)
+    if np.isnan(values[order[-1]]):  # nan sorts last
+        raise ValueError("values must not contain nan")
+    starts = _run_starts(values[order])
+    first = np.arange(n)
+    first[~starts] = 0
+    np.maximum.accumulate(first, out=first)
     if tie_mode is RankTieMode.PAPER:
-        return below + 1
-    through = np.searchsorted(ordered, values, side="right")
-    return (below + through + 1) / 2.0
+        first += 1
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[order] = first
+        return ranks
+    last = np.arange(n)
+    last[~np.append(starts[1:], True)] = n - 1
+    np.minimum.accumulate(last[::-1], out=last[::-1])
+    first += last
+    first += 2  # first + last + 2 is twice the 1-based midrank
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = first
+    ranks /= 2.0
+    return ranks
 
 
 def spearman(

@@ -1,12 +1,17 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uqeval
 from uqeval.cli import run
 from uqeval.datasets import DatasetKind, Split, generate, read_csv
 from uqeval.experiments import read_manifest, sha256_file
+from uqeval.metrics import REPORT_HEADER
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +218,21 @@ def test_eval_rejects_truncated_model_file(tmp_path, model_path, capsys) -> None
                 "--model-path", str(bad), "--n", "16"])
     assert code == 2
     assert f"error: model file {bad}: not a readable .npz archive" in capsys.readouterr().err
+
+
+def _python_m(*args: str) -> subprocess.CompletedProcess:
+    paths = [str(Path(uqeval.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["uqeval", "uqeval.cli"])
+def test_python_m_runs_the_cli(module) -> None:
+    done = _python_m(module, "eval", "--dataset", "homoscedastic", "--n", "16")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == REPORT_HEADER
+    missing = _python_m(module)
+    assert missing.returncode == 1
+    assert "a command is required" in missing.stderr

@@ -17,14 +17,13 @@ from uqeval.metrics import (
     WeightMode,
     ause,
     calibration_error,
-    empirical_frequency,
     evaluate,
-    mae,
     nll,
     rank,
     sparsification_curve,
     spearman,
 )
+from uqeval.seeds import TAG_TIEBREAK, derive_seed, make_rng
 
 
 def records_from(abs_errors, uncertainties) -> EvaluationRecords:
@@ -61,11 +60,14 @@ def test_records_take_selects_rows() -> None:
     assert len(sub) == 2
 
 
-def test_mae_values_and_errors() -> None:
-    assert mae(records_from([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])) == pytest.approx(2.0)
-    assert mae(records_from([0.0, 0.0], [0.0, 0.0])) == 0.0
+def test_empty_records_raise() -> None:
+    empty = records_from([], [])
     with pytest.raises(ValueError):
-        mae(records_from([], []))
+        nll(empty)
+    with pytest.raises(ValueError):
+        sparsification_curve(empty)
+    with pytest.raises(ValueError):
+        ause(empty)
 
 
 # ----------------------------------------------------------------- sparsification
@@ -126,12 +128,14 @@ def test_tie_shuffle_is_seeded() -> None:
     assert np.array_equal(a.by_oracle, c.by_oracle)
 
 
-def brute_force_curves(errors, uncertainties, tie_breaker):
-    """Literal reading: at fraction k/N drop the k worst-ranked samples."""
+def brute_force_curves(errors, uncertainties, tie_breaker, grid_size=None):
+    """Literal reading: at fraction j/K drop the floor(j/K * N) worst-ranked samples."""
     n = len(errors)
+    grid = n if grid_size is None else grid_size
     by_u, by_e = [], []
     mae_all = sum(errors) / n
-    for k in range(n):
+    for j in range(grid):
+        k = math.floor(j / grid * n)
         keep_u = sorted(range(n), key=lambda i: (-uncertainties[i], tie_breaker[i]))[k:]
         keep_e = sorted(range(n), key=lambda i: (-errors[i], tie_breaker[i]))[k:]
         by_u.append(sum(errors[i] for i in keep_u) / len(keep_u) / mae_all)
@@ -150,6 +154,143 @@ def test_matches_brute_force_on_distinct_uncertainties() -> None:
         by_u, by_e = brute_force_curves(list(e), list(u), [0] * n)
         assert np.allclose(curve.by_uncertainty, by_u, atol=1e-12)
         assert np.allclose(curve.by_oracle, by_e, atol=1e-12)
+
+
+def test_matches_brute_force_with_ties_small_n_and_coarse_grid() -> None:
+    # Tied uncertainties are resolved by the seeded shuffle: sample i ranks
+    # by its position in the tie-break permutation.
+    rng = np.random.default_rng(8)
+    for _ in range(80):
+        n = int(rng.integers(1, 11))
+        e = rng.exponential(size=n)
+        u = rng.integers(0, 3, size=n).astype(float)
+        grid = int(rng.integers(1, n + 1))
+        tie_seed = int(rng.integers(0, 1000))
+        perm = make_rng(derive_seed(tie_seed, TAG_TIEBREAK)).permutation(n)
+        curve = sparsification_curve(records_from(e, u), grid, tie_seed)
+        by_u, by_e = brute_force_curves(list(e), list(u), list(np.argsort(perm)), grid)
+        assert np.allclose(curve.by_uncertainty, by_u, atol=1e-12)
+        assert np.allclose(curve.by_oracle, by_e, atol=1e-12)
+
+
+# ------------------------------------------- bit identity with the two-sort code
+
+def reference_curves(records, grid_size, tie_seed):
+    """Sparsification curves from two stable argsorts of the shuffled fields."""
+    n = len(records)
+    k = n if grid_size is None else grid_size
+    perm = make_rng(derive_seed(tie_seed, TAG_TIEBREAK)).permutation(n)
+    errors = records.abs_errors[perm]
+    uncertainties = records.uncertainties[perm]
+    removed = np.floor(np.arange(k) / k * n).astype(np.int64)
+    total = float(errors.sum())
+    curves = []
+    for order in (np.argsort(-uncertainties, kind="stable"), np.argsort(-errors, kind="stable")):
+        if total == 0.0:
+            curves.append(np.ones(k))
+            continue
+        prefix = np.concatenate([[0.0], np.cumsum(errors[order])])
+        curves.append((total - prefix[removed]) / (n - removed) / (total / n))
+    return curves
+
+
+def reference_rank(values, tie_mode):
+    """Ranks from `searchsorted` counts of the values below and through each value."""
+    ordered = np.sort(values)
+    below = np.searchsorted(ordered, values, side="left")
+    if tie_mode is RankTieMode.PAPER:
+        return below + 1
+    through = np.searchsorted(ordered, values, side="right")
+    return (below + through + 1) / 2.0
+
+
+def reference_spearman(u, e, tie_mode):
+    ru = reference_rank(u, tie_mode).astype(np.float64)
+    re = reference_rank(e, tie_mode).astype(np.float64)
+    du = ru - ru.mean()
+    de = re - re.mean()
+    denom = np.sqrt(np.sum(du * du) * np.sum(de * de))
+    if denom == 0.0:
+        return None
+    return float(np.clip(np.sum(du * de) / denom, -1.0, 1.0))
+
+
+def assert_bit_identical(e, u, grid_sizes, tie_seeds=(0, 7)) -> None:
+    rec = records_from(e, u)
+    for grid in grid_sizes:
+        for tie_seed in tie_seeds:
+            curve = sparsification_curve(rec, grid, tie_seed)
+            ref_u, ref_e = reference_curves(rec, grid, tie_seed)
+            assert curve.by_uncertainty.tobytes() == ref_u.tobytes()
+            assert curve.by_oracle.tobytes() == ref_e.tobytes()
+    for mode in RankTieMode:
+        for values in (e, u):
+            ours, ref = rank(values, mode), reference_rank(values, mode)
+            assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+        if len(e) >= 2:
+            ref = reference_spearman(u, e, mode)
+            if ref is None:
+                with pytest.raises(UndefinedMetricError):
+                    spearman(u, e, mode)
+            else:
+                assert np.float64(spearman(u, e, mode)).tobytes() == np.float64(ref).tobytes()
+
+
+FIELD_KINDS = {
+    "random": lambda rng, n: rng.exponential(size=n),
+    "constant": lambda rng, n: np.full(n, 0.37),
+    "small-integer": lambda rng, n: rng.integers(0, 4, size=n).astype(float),
+    "all-zero": lambda rng, n: np.zeros(n),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 4097, 65536])
+@pytest.mark.parametrize("error_kind", sorted(FIELD_KINDS))
+@pytest.mark.parametrize("uncertainty_kind", sorted(FIELD_KINDS))
+def test_sort_once_metrics_bit_identical_to_two_sort_reference(
+    n, error_kind, uncertainty_kind
+) -> None:
+    rng = np.random.default_rng(n)
+    e = FIELD_KINDS[error_kind](rng, n)
+    u = FIELD_KINDS[uncertainty_kind](rng, n)
+    assert_bit_identical(e, u, grid_sizes={None, 1, max(1, n // 3)})
+
+
+def test_total_is_summed_in_tie_break_order() -> None:
+    # For these heavy-tailed errors the shuffled sum differs in its last bits
+    # from the sums in ascending, descending, uncertainty and input order, so
+    # a total taken in any of those orders changes both curves.
+    n = 4097
+    perm = make_rng(derive_seed(0, TAG_TIEBREAK)).permutation(n)
+    differs = set()
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        e = rng.lognormal(sigma=3.0, size=n)
+        u = rng.uniform(size=n)
+        total = e[perm].sum()
+        other_orders = {
+            "ascending": np.sort(e),
+            "descending": np.sort(e)[::-1],
+            "uncertainty": e[perm][np.argsort(-u[perm], kind="stable")],
+            "input": e,
+        }
+        differs |= {name for name, x in other_orders.items() if x.sum() != total}
+        assert_bit_identical(e, u, grid_sizes=(None,), tie_seeds=(0,))
+    assert differs == {"ascending", "descending", "uncertainty", "input"}
+
+
+@st.composite
+def tie_heavy_fields(draw, min_size=1):
+    n = draw(st.integers(min_size, 60))
+    values = st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=n, max_size=n)
+    return np.array(draw(values)), np.array(draw(values)), draw(st.integers(1, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_fields(), st.integers(0, 2**32))
+def test_tie_heavy_fields_bit_identical_to_two_sort_reference(fields, tie_seed) -> None:
+    e, u, grid = fields
+    assert_bit_identical(e, u, grid_sizes=(None, grid), tie_seeds=(tie_seed,))
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,14 +317,19 @@ def test_ause_invariant_under_monotone_uncertainty_transform(errors) -> None:
 
 # ----------------------------------------------------------------- calibration
 
-def test_empirical_frequency() -> None:
+def test_calibration_error_counts_pit_equal_to_threshold() -> None:
     pits = np.array([0.1, 0.2, 0.9])
-    assert empirical_frequency(pits, 0.5) == pytest.approx(2.0 / 3.0)
-    assert empirical_frequency(pits, 0.05) == 0.0
-    assert empirical_frequency(pits, 1.0) == 1.0
-    assert empirical_frequency(pits, 0.2) == pytest.approx(2.0 / 3.0)  # <= is inclusive
+    uniform = WeightMode.UNIFORM
+    # the PIT 0.2 is covered at threshold 0.2: observed coverage 2/3, not 1/3
+    cfg = CalibrationConfig(thresholds=np.array([0.2]), weight_mode=uniform)
+    assert calibration_error(pits, cfg) == pytest.approx((0.2 - 2.0 / 3.0) ** 2)
+    cfg = CalibrationConfig(thresholds=np.array([0.2]), weight_mode=WeightMode.PAPER)
+    assert calibration_error(pits, cfg) == pytest.approx(2.0 / 9.0 * (0.2 - 2.0 / 3.0) ** 2)
+    # no PIT lies at or below 0.05; all lie at or below 1
+    cfg = CalibrationConfig(thresholds=np.array([0.05, 1.0]), weight_mode=uniform)
+    assert calibration_error(pits, cfg) == pytest.approx(0.05**2 / 2.0)
     with pytest.raises(ValueError):
-        empirical_frequency(np.array([]), 0.5)
+        calibration_error(np.array([]), cfg)
 
 
 def test_calibration_error_hand_case() -> None:
@@ -238,6 +384,42 @@ def test_rank_tie_modes() -> None:
     assert np.array_equal(rank(np.array([30.0, 10.0, 20.0])), [3, 1, 2])
     with pytest.raises(ValueError):
         rank(np.array([]))
+
+
+def test_rank_rejects_nan() -> None:
+    with pytest.raises(ValueError, match="nan"):
+        rank(np.array([1.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="nan"):
+        spearman(np.array([1.0, np.nan, 0.0]), np.arange(3.0))
+
+
+finite_values = st.lists(
+    st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6, width=64)),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_values)
+def test_rank_matches_scipy_rankdata(values) -> None:
+    x = np.array(values)
+    assert np.array_equal(rank(x, RankTieMode.PAPER), scipy.stats.rankdata(x, method="min"))
+    assert np.array_equal(
+        rank(x, RankTieMode.AVERAGE), scipy.stats.rankdata(x, method="average")
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_fields(min_size=2))
+def test_average_spearman_matches_scipy_spearmanr(fields) -> None:
+    e, u, _ = fields
+    if len(set(u)) < 2 or len(set(e)) < 2:
+        with pytest.raises(UndefinedMetricError):
+            spearman(u, e, RankTieMode.AVERAGE)
+        return
+    ref = scipy.stats.spearmanr(u, e).statistic
+    assert spearman(u, e, RankTieMode.AVERAGE) == pytest.approx(ref, abs=1e-12)
 
 
 def test_spearman_identities() -> None:
