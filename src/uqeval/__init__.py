@@ -13,10 +13,10 @@ from .datasets import (
     LabeledSet,
     Split,
     conditional_mean,
+    dataset_csv,
     generate,
     read_csv,
     residual_std,
-    write_csv,
 )
 from .distributions import Gaussian, GaussianMixture, moment_match, VARIANCE_FLOOR
 from .metrics import (

@@ -4,16 +4,20 @@ Subcommands: generate, train, eval, stability, bias, sparsify,
 density-grid.  Exit codes: 0 on success, 1 on usage errors (with usage
 text on stderr), 2 on runtime failures.  Every run emits a RunManifest:
 written next to the artifact as <out>.manifest.json, or to stderr when
-the result goes to stdout.
+the result goes to stdout.  Artifacts and manifests are written to a
+temp file and renamed into place, so a failed run leaves no partial file.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
-from .datasets import DatasetKind, Split, generate, write_csv
+from .datasets import DatasetKind, Split, dataset_csv, generate
 from .metrics import CalibrationConfig, EvalConfig, RankTieMode, REPORT_HEADER, WeightMode
 from .experiments import (
     bias_experiment,
@@ -148,15 +152,40 @@ def _eval_config(args) -> EvalConfig:
     )
 
 
-def _emit(command: str, argv: list[str], params: dict, text: str, out: str | None) -> None:
+def _replace_atomically(path: str, write) -> None:
+    """Calls `write(tmp)` on a fresh file next to `path`, then renames it onto `path`.
+
+    A failure anywhere leaves `path` as it was and removes the temp file.
+    """
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+
+
+def _publish(command: str, argv: list[str], params: dict, out: str, write) -> None:
+    """Writes the artifact with `write(path)`, then its manifest, each atomically."""
+    _replace_atomically(out, write)
+    manifest = make_manifest(command, argv, params, [out])
+    _replace_atomically(f"{out}.manifest.json", lambda tmp: _write_text(tmp, [manifest.to_json()]))
+
+
+def _emit(command: str, argv: list[str], params: dict, chunks: Iterable[str], out: str | None) -> None:
+    """Writes the text chunks to `out` (see `_publish`), or to stdout with the manifest on stderr."""
     if out is not None:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        manifest = make_manifest(command, argv, params, [out])
-        with open(f"{out}.manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(manifest.to_json())
+        _publish(command, argv, params, out, lambda tmp: _write_text(tmp, chunks))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         sys.stderr.write(make_manifest(command, argv, params, []).to_json())
 
 
@@ -167,11 +196,8 @@ def _cmd_generate(args, argv) -> None:
         DEFAULT_TRAIN_N if split is Split.TRAIN else DEFAULT_TEST_N
     )
     data = generate(kind, split, n, args.seed)
-    write_csv(data, args.out)
     params = {"dataset": kind.value, "split": split.value, "n": n, "seed": args.seed}
-    manifest = make_manifest("generate", argv, params, [args.out])
-    with open(f"{args.out}.manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest.to_json())
+    _emit("generate", argv, params, dataset_csv(data), args.out)
 
 
 def _cmd_train(args, argv) -> None:
@@ -179,15 +205,12 @@ def _cmd_train(args, argv) -> None:
     data = generate(kind, Split.TRAIN, args.n, args.seed)
     config = TrainConfig(seed=args.seed)
     predictor = train_ensemble(data, config)
-    save_ensemble(predictor, args.out)
     params = {
         "dataset": kind.value, "n": args.n, "seed": args.seed,
         "ensemble_size": config.ensemble_size, "epochs": config.epochs,
         "batch_size": config.batch_size, "learning_rate": config.adam.learning_rate,
     }
-    manifest = make_manifest("train", argv, params, [args.out])
-    with open(f"{args.out}.manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest.to_json())
+    _publish("train", argv, params, args.out, lambda path: save_ensemble(predictor, path))
 
 
 def _cmd_eval(args, argv) -> None:
@@ -202,7 +225,7 @@ def _cmd_eval(args, argv) -> None:
         "thresholds": args.thresholds, "weights": args.weights,
         "tie_mode": args.tie_mode, **pparams,
     }
-    _emit("eval", argv, params, text, args.out)
+    _emit("eval", argv, params, [text], args.out)
 
 
 def _cmd_stability(args, argv) -> None:
@@ -210,7 +233,7 @@ def _cmd_stability(args, argv) -> None:
     predictor, pparams = _predictor(args)
     result = convergence_experiment(predictor, kind, args.seed)
     params = {"dataset": kind.value, "seed": args.seed, **pparams}
-    _emit("stability", argv, params, result.to_csv(), args.out)
+    _emit("stability", argv, params, [result.to_csv()], args.out)
 
 
 def _cmd_bias(args, argv) -> None:
@@ -219,15 +242,15 @@ def _cmd_bias(args, argv) -> None:
     result = bias_experiment(predictor, kind, args.seed, replicates=args.replicates)
     params = {"dataset": kind.value, "seed": args.seed,
               "replicates": args.replicates, **pparams}
-    _emit("bias", argv, params, result.to_csv(mean_prefix=True), args.out)
+    _emit("bias", argv, params, [result.to_csv(mean_prefix=True)], args.out)
 
 
 def _cmd_sparsify(args, argv) -> None:
     kind = DatasetKind(args.dataset)
     predictor, pparams = _predictor(args)
-    text = sparsification_csv(predictor, kind, args.seed, args.n)
+    chunks = sparsification_csv(predictor, kind, args.seed, args.n)
     params = {"dataset": kind.value, "n": args.n, "seed": args.seed, **pparams}
-    _emit("sparsify", argv, params, text, args.out)
+    _emit("sparsify", argv, params, chunks, args.out)
 
 
 def _cmd_density_grid(args, argv) -> None:
@@ -240,11 +263,11 @@ def _cmd_density_grid(args, argv) -> None:
         raise UsageError("error: empty density grid")
     xs = np.linspace(x_min, x_max, args.nx)
     ys = np.linspace(args.y_min, args.y_max, args.ny)
-    text = density_grid_csv(predictor, xs, ys)
+    chunks = density_grid_csv(predictor, xs, ys)
     params = {"dataset": kind.value, "x_min": x_min, "x_max": x_max,
               "y_min": args.y_min, "y_max": args.y_max,
               "nx": args.nx, "ny": args.ny, **pparams}
-    _emit("density-grid", argv, params, text, args.out)
+    _emit("density-grid", argv, params, chunks, args.out)
 
 
 _COMMANDS = {

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .seeds import TAG_DATASET, derive_seed, make_rng
 
 GAP_LOW = 0.35
 GAP_HIGH = 0.65
+CSV_BLOCK_ROWS = 2**14  # rows formatted per chunk of artifact text
 
 
 class DomainError(ValueError):
@@ -139,12 +142,31 @@ def generate(kind: DatasetKind, split: Split, n: int, seed: int) -> LabeledSet:
     return LabeledSet(xs, ys)
 
 
-def write_csv(data: LabeledSet, path) -> None:
-    """Write `x,y` rows; repr() keeps full round-trip precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y\n")
-        for x, y in zip(data.xs, data.ys):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+def csv_rows(*columns) -> str:
+    """One CSV line per row of equal-length float columns.
+
+    repr() keeps full round-trip precision; `.tolist()` hands the format
+    plain Python floats, whose repr is the shortest exact one.  `%`
+    formatting of row tuples takes about 15% less CPU than `str.format`.
+    """
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+    return "".join([line % row for row in rows])
+
+
+def csv_chunks(header: str, *columns) -> Iterator[str]:
+    """The header line, then the rows of `columns` in chunks of CSV_BLOCK_ROWS."""
+    n = len(columns[0])
+    return itertools.chain(
+        [header + "\n"],
+        (csv_rows(*(c[lo : lo + CSV_BLOCK_ROWS] for c in columns))
+         for lo in range(0, n, CSV_BLOCK_ROWS)),
+    )
+
+
+def dataset_csv(data: LabeledSet) -> Iterator[str]:
+    """`x,y` rows as chunks of text; see `csv_chunks`."""
+    return csv_chunks("x,y", data.xs, data.ys)
 
 
 def read_csv(path) -> LabeledSet:

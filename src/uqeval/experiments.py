@@ -17,13 +17,15 @@ endings, no timestamps.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import warnings
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .datasets import DatasetKind, Split, generate
+from .datasets import CSV_BLOCK_ROWS, DatasetKind, Split, csv_chunks, csv_rows, generate
 from .metrics import (
     REPORT_HEADER,
     EvalConfig,
@@ -167,29 +169,37 @@ def sparsification_csv(
     base_seed: int = 0,
     n: int = 2**16,
     eval_config: EvalConfig | None = None,
-) -> str:
+) -> Iterator[str]:
+    """Scores the test set now; the returned chunks format the curve lazily."""
     eval_config = eval_config or EvalConfig()
     data = generate(kind, Split.TEST, n, base_seed)
     records = make_records(predictor, data)
     curve = sparsification_curve(records, eval_config.sparsification_grid, eval_config.tie_seed)
-    lines = ["fraction,oracle,sparsification"]
-    for f, orc, unc in zip(curve.fractions, curve.by_oracle, curve.by_uncertainty):
-        lines.append(f"{float(f)!r},{float(orc)!r},{float(unc)!r}")
-    return "\n".join(lines) + "\n"
+    return csv_chunks("fraction,oracle,sparsification",
+                      curve.fractions, curve.by_oracle, curve.by_uncertainty)
 
 
 def density_grid_csv(
     predictor,
     x_values: np.ndarray,
     y_values: np.ndarray,
-) -> str:
-    """Rows iterate x in the outer loop and y in the inner loop."""
+) -> Iterator[str]:
+    """Rows iterate x in the outer loop and y in the inner loop.
+
+    Each chunk of text holds the rows of about CSV_BLOCK_ROWS // ny x values.
+    """
+    x_values = np.asarray(x_values, dtype=np.float64)
+    y_values = np.asarray(y_values, dtype=np.float64)
     z = log_density_grid(predictor, x_values, y_values)
-    lines = ["x,y,z"]
-    for i, x in enumerate(x_values):
-        for j, y in enumerate(y_values):
-            lines.append(f"{float(x)!r},{float(y)!r},{float(z[i, j])!r}")
-    return "\n".join(lines) + "\n"
+    ny = len(y_values)
+    step = max(1, CSV_BLOCK_ROWS // max(1, ny))
+    blocks = (
+        csv_rows(np.repeat(x_values[i : i + step], ny),
+                 np.tile(y_values, len(x_values[i : i + step])),
+                 z[i : i + step].ravel())
+        for i in range(0, len(x_values), step)
+    )
+    return itertools.chain(["x,y,z\n"], blocks)
 
 
 # ----------------------------------------------------------------- run manifests

@@ -29,7 +29,6 @@ class UndefinedMetricError(ValueError):
 class EvaluationRecords:
     """Per-sample evaluation quantities, one array per field."""
 
-    predictions: np.ndarray
     abs_errors: np.ndarray
     uncertainties: np.ndarray
     log_densities: np.ndarray
@@ -38,7 +37,7 @@ class EvaluationRecords:
     def __post_init__(self):
         fields = {}
         n = None
-        for name in ("predictions", "abs_errors", "uncertainties", "log_densities", "pits"):
+        for name in ("abs_errors", "uncertainties", "log_densities", "pits"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-D")
@@ -62,7 +61,6 @@ class EvaluationRecords:
 
     def take(self, index: np.ndarray) -> "EvaluationRecords":
         return EvaluationRecords(
-            self.predictions[index],
             self.abs_errors[index],
             self.uncertainties[index],
             self.log_densities[index],

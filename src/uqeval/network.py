@@ -20,7 +20,7 @@ from .distributions import Gaussian
 
 LAYER_SIZES = (1, 256, 256, 256, 256, 2)
 VARIANCE_SHIFT = 1e-6
-FORWARD_CHUNK_ROWS = 4096  # rows per inference chunk; see _chunk_bounds
+FORWARD_CHUNK_ROWS = 4096  # rows per inference chunk; see row_blocks
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -95,15 +95,18 @@ def _forward_hidden(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[
     return _output_layer(params, hiddens[-1]), hiddens
 
 
-def _chunk_bounds(n: int) -> list[int]:
-    """Row offsets 0, C, 2C, ... with the remainder merged into the last chunk.
+def row_blocks(n: int, rows: int) -> list[int]:
+    """Block offsets 0, rows, 2*rows, ... with the remainder merged into the last block.
 
-    Every chunk therefore has the whole input (n < 2C) or C..2C-1 rows.
-    OpenBLAS rounds small products (the 256->2 layer at up to 1953 rows, a
-    1-row hidden layer) differently from large ones, so a short tail chunk
-    would change output bits relative to one single-batch pass.
+    Every block therefore has the whole input (n < 2*rows) or rows..2*rows-1
+    rows.  `forward` splits its input this way into FORWARD_CHUNK_ROWS
+    chunks: OpenBLAS rounds small products (the 256->2 layer at up to 1953
+    rows, a 1-row hidden layer) differently from large ones, so a short
+    tail chunk would change output bits relative to one single-batch pass.
+    Blocks whose size is a multiple of FORWARD_CHUNK_ROWS split into exactly
+    the chunks of one pass over all rows.
     """
-    return [i * FORWARD_CHUNK_ROWS for i in range(max(1, n // FORWARD_CHUNK_ROWS))] + [n]
+    return [i * rows for i in range(max(1, n // rows))] + [n]
 
 
 def forward(params: MlpParams, x: np.ndarray) -> Gaussian:
@@ -115,7 +118,7 @@ def forward(params: MlpParams, x: np.ndarray) -> Gaussian:
     `_forward_hidden` pass over all rows.
     """
     x_rows = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    bounds = _chunk_bounds(len(x_rows))
+    bounds = row_blocks(len(x_rows), FORWARD_CHUNK_ROWS)
     width = bounds[-1] - bounds[-2]  # the last chunk is the widest
     bufs = [np.empty((width, LAYER_SIZES[1])) for _ in range(2)]
     out = np.empty((len(x_rows), LAYER_SIZES[-1]))

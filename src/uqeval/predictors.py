@@ -17,6 +17,7 @@ from .datasets import DatasetKind, LabeledSet, _check_domain, residual_std
 from .distributions import Gaussian, GaussianMixture, moment_match
 from .metrics import EvaluationRecords
 from .network import (
+    FORWARD_CHUNK_ROWS,
     LAYER_SIZES,
     AdamConfig,
     AdamState,
@@ -25,10 +26,12 @@ from .network import (
     forward,
     init_params,
     loss_and_grads,
+    row_blocks,
 )
 from .seeds import TAG_MEMBER, derive_seed, make_rng
 
 ENSEMBLE_FORMAT = "uqeval-ensemble-v1"
+RECORD_BLOCK_ROWS = 16 * FORWARD_CHUNK_ROWS  # rows scored at once by make_records
 
 
 class TrainingDivergedError(RuntimeError):
@@ -257,19 +260,36 @@ def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
 
 # ----------------------------------------------------------------- records & grids
 
-def make_records(predictor, data: LabeledSet) -> EvaluationRecords:
-    """Evaluate the predictor once per sample and bundle the results."""
-    dist = predictor.predict(data.xs)
-    n = len(data)
-    predictions = np.broadcast_to(np.asarray(dist.mean, dtype=np.float64), (n,))
-    uncertainties = np.broadcast_to(np.asarray(dist.variance, dtype=np.float64), (n,))
-    return EvaluationRecords(
-        predictions=predictions,
-        abs_errors=np.abs(data.ys - predictions),
-        uncertainties=uncertainties,
-        log_densities=np.broadcast_to(np.asarray(dist.log_density(data.ys)), (n,)),
-        pits=np.broadcast_to(np.asarray(dist.cdf(data.ys)), (n,)),
+def _score(predictor, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Record fields (abs error, variance, log density, PIT) of one row block."""
+    dist = predictor.predict(xs)
+    n = len(xs)
+    mean = np.broadcast_to(np.asarray(dist.mean, dtype=np.float64), (n,))
+    return (
+        np.abs(ys - mean),
+        np.broadcast_to(np.asarray(dist.variance, dtype=np.float64), (n,)),
+        np.broadcast_to(np.asarray(dist.log_density(ys)), (n,)),
+        np.broadcast_to(np.asarray(dist.cdf(ys)), (n,)),
     )
+
+
+def make_records(predictor, data: LabeledSet) -> EvaluationRecords:
+    """Evaluate the predictor once per sample and bundle the results.
+
+    Rows are scored in blocks of RECORD_BLOCK_ROWS (see `row_blocks`), so
+    predictive temporaries, per-member network outputs included, stay
+    constant in N; each block is written into the record arrays.  A single
+    block is used as is.  The block size is a multiple of the network's
+    chunk size, so every field is bit-identical to one pass over all rows.
+    """
+    bounds = row_blocks(len(data), RECORD_BLOCK_ROWS)
+    if len(bounds) == 2:
+        return EvaluationRecords(*_score(predictor, data.xs, data.ys))
+    fields = [np.empty(len(data)) for _ in range(4)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for column, block in zip(fields, _score(predictor, data.xs[lo:hi], data.ys[lo:hi])):
+            column[lo:hi] = block
+    return EvaluationRecords(*fields)
 
 
 def log_density_grid(predictor, x_values: np.ndarray, y_values: np.ndarray) -> np.ndarray:

@@ -161,7 +161,6 @@ def test_criterion_06_ause_matches_brute_force():
             assert len(np.unique(uncertainties)) == n
             assert len(np.unique(errors)) == n
             records = EvaluationRecords(
-                predictions=np.zeros(n),
                 abs_errors=errors,
                 uncertainties=uncertainties,
                 log_densities=np.zeros(n),

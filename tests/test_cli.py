@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import uqeval
+import uqeval.datasets
 from uqeval.cli import run
-from uqeval.datasets import DatasetKind, Split, generate, read_csv
+from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate, read_csv
 from uqeval.experiments import read_manifest, sha256_file
 from uqeval.metrics import REPORT_HEADER
 
@@ -169,6 +170,41 @@ def test_artifacts_regenerate_byte_identically(tmp_path, model_path) -> None:
         os.remove(out)
         assert run(list(manifest.argv)) == 0
         assert sha256_file(out) == recorded
+
+
+@pytest.mark.parametrize("command", ["generate", "sparsify"])
+def test_formatter_failure_mid_stream_leaves_no_files(tmp_path, monkeypatch, capsys, command) -> None:
+    real_rows = uqeval.datasets.csv_rows
+    blocks = []
+
+    def failing_rows(*columns):
+        blocks.append(len(columns[0]))
+        if len(blocks) == 2:
+            raise RuntimeError("formatter failed")
+        return real_rows(*columns)
+
+    monkeypatch.setattr(uqeval.datasets, "csv_rows", failing_rows)
+    out = tmp_path / "out.csv"
+    code = run([command, "--dataset", "heteroscedastic", "--n", str(3 * CSV_BLOCK_ROWS),
+                "--out", str(out)])
+    assert code == 2
+    assert "error: formatter failed" in capsys.readouterr().err
+    assert blocks == [CSV_BLOCK_ROWS, CSV_BLOCK_ROWS]  # failed after one chunk was written
+    assert list(tmp_path.iterdir()) == []  # no out, no out.manifest.json, no temp file
+
+
+def test_failed_rerun_keeps_the_previous_artifact(tmp_path, monkeypatch) -> None:
+    out = tmp_path / "data.csv"
+    argv = ["generate", "--dataset", "multimodal", "--n", str(2 * CSV_BLOCK_ROWS), "--out", str(out)]
+    assert run(argv) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing_rows(*columns):
+        raise RuntimeError("formatter failed")
+
+    monkeypatch.setattr(uqeval.datasets, "csv_rows", failing_rows)
+    assert run(argv) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def _corrupt_model(src, dst, edit) -> None:

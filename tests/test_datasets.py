@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqeval.datasets import (
+    CSV_BLOCK_ROWS,
     CsvFormatError,
     DatasetKind,
     DomainError,
@@ -14,10 +15,10 @@ from uqeval.datasets import (
     LabeledSet,
     Split,
     conditional_mean,
+    dataset_csv,
     generate,
     read_csv,
     residual_std,
-    write_csv,
 )
 
 ALL_KINDS = list(DatasetKind)
@@ -146,13 +147,23 @@ def test_labeled_set_validation_and_immutability() -> None:
 def test_csv_round_trip(tmp_path) -> None:
     data = generate(DatasetKind.HETEROSCEDASTIC, Split.TEST, 100, 13)
     path = tmp_path / "data.csv"
-    write_csv(data, path)
+    path.write_text("".join(dataset_csv(data)), encoding="utf-8", newline="\n")
     text = path.read_text(encoding="utf-8")
     assert text.startswith("x,y\n")
     assert "\r" not in text
     back = read_csv(path)
     assert np.array_equal(back.xs, data.xs)
     assert np.array_equal(back.ys, data.ys)
+
+
+def test_streamed_dataset_csv_equals_string_built_text() -> None:
+    n = 2 * CSV_BLOCK_ROWS + 7  # a short last chunk
+    data = generate(DatasetKind.MULTIMODAL, Split.TEST, n, 5)
+    chunks = list(dataset_csv(data))
+    assert len(chunks) == 4  # header and three blocks of rows
+    # reference: the row-at-a-time text of the file writer this replaced
+    rows = "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(data.xs, data.ys))
+    assert "".join(chunks) == "x,y\n" + rows
 
 
 @settings(max_examples=50, deadline=None)
@@ -170,7 +181,7 @@ def test_csv_round_trip_arbitrary_floats(tmp_path_factory, pairs) -> None:
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     xs = np.array([p[0] for p in pairs], dtype=np.float64)
     ys = np.array([p[1] for p in pairs], dtype=np.float64)
-    write_csv(LabeledSet(xs, ys), path)
+    path.write_text("".join(dataset_csv(LabeledSet(xs, ys))), encoding="utf-8", newline="\n")
     back = read_csv(path)
     assert np.array_equal(back.xs, xs)
     assert np.array_equal(back.ys, ys)

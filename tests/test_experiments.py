@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from uqeval.datasets import DatasetKind, Split, generate
-from uqeval.metrics import EvalConfig, evaluate
+from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
+from uqeval.metrics import EvalConfig, evaluate, sparsification_curve
 from uqeval.experiments import (
     SIZES,
     StabilityResult,
@@ -21,7 +21,7 @@ from uqeval.experiments import (
     table_csv,
     table_experiment,
 )
-from uqeval.predictors import TrueDistributionPredictor, make_records
+from uqeval.predictors import TrueDistributionPredictor, log_density_grid, make_records
 from uqeval.seeds import TAG_REPLICATE, derive_seed
 
 ORACLE_HET = TrueDistributionPredictor(DatasetKind.HETEROSCEDASTIC)
@@ -145,7 +145,7 @@ def test_table_supports_multiple_predictors_per_kind() -> None:
 
 
 def test_sparsification_csv_layout() -> None:
-    text = sparsification_csv(ORACLE_HET, DatasetKind.HETEROSCEDASTIC, base_seed=0, n=64)
+    text = "".join(sparsification_csv(ORACLE_HET, DatasetKind.HETEROSCEDASTIC, base_seed=0, n=64))
     lines = text.strip().split("\n")
     assert lines[0] == "fraction,oracle,sparsification"
     assert len(lines) == 65
@@ -170,13 +170,51 @@ def test_homoscedastic_oracle_curve_stays_flat_at_scale() -> None:
 
 
 def test_density_grid_csv_two_by_two() -> None:
-    text = density_grid_csv(ORACLE_HOMO, np.array([0.0, 0.5]), np.array([-1.0, 1.0]))
+    text = "".join(density_grid_csv(ORACLE_HOMO, np.array([0.0, 0.5]), np.array([-1.0, 1.0])))
     lines = text.strip().split("\n")
     assert lines[0] == "x,y,z"
     assert len(lines) == 5
     # x is the outer loop
     assert [float(l.split(",")[0]) for l in lines[1:]] == [0.0, 0.0, 0.5, 0.5]
     assert [float(l.split(",")[1]) for l in lines[1:]] == [-1.0, 1.0, -1.0, 1.0]
+
+
+def string_built_sparsification_csv(predictor, kind, base_seed, n) -> str:
+    """Reference: the curve CSV as one string, one f-string per row."""
+    records = make_records(predictor, generate(kind, Split.TEST, n, base_seed))
+    curve = sparsification_curve(records)
+    lines = ["fraction,oracle,sparsification"]
+    for f, orc, unc in zip(curve.fractions, curve.by_oracle, curve.by_uncertainty):
+        lines.append(f"{float(f)!r},{float(orc)!r},{float(unc)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def string_built_density_grid_csv(predictor, x_values, y_values) -> str:
+    """Reference: the grid CSV as one string, one f-string per row."""
+    z = log_density_grid(predictor, x_values, y_values)
+    lines = ["x,y,z"]
+    for i, x in enumerate(x_values):
+        for j, y in enumerate(y_values):
+            lines.append(f"{float(x)!r},{float(y)!r},{float(z[i, j])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_streamed_sparsification_csv_equals_string_built_text() -> None:
+    n = 2 * CSV_BLOCK_ROWS + 7  # a short last chunk
+    chunks = list(sparsification_csv(ORACLE_HET, DatasetKind.HETEROSCEDASTIC, 3, n))
+    assert len(chunks) == 4  # header and three blocks of rows
+    expected = string_built_sparsification_csv(ORACLE_HET, DatasetKind.HETEROSCEDASTIC, 3, n)
+    assert "".join(chunks) == expected
+
+
+@pytest.mark.parametrize("nx, ny", [(131, 257), (3, CSV_BLOCK_ROWS + 5), (1, 1)])
+def test_streamed_density_grid_csv_equals_string_built_text(nx, ny) -> None:
+    predictor = TrueDistributionPredictor(DatasetKind.MULTIMODAL)
+    xs = np.linspace(0.0, 1.0, nx)
+    ys = np.linspace(-2.0, 2.0, ny)
+    chunks = list(density_grid_csv(predictor, xs, ys))
+    assert all(c.count("\n") < 2 * CSV_BLOCK_ROWS for c in chunks)
+    assert "".join(chunks) == string_built_density_grid_csv(predictor, xs, ys)
 
 
 # ----------------------------------------------------------------- manifests

@@ -31,7 +31,6 @@ def records_from(abs_errors, uncertainties) -> EvaluationRecords:
     u = np.asarray(uncertainties, dtype=np.float64)
     n = len(e)
     return EvaluationRecords(
-        predictions=np.zeros(n),
         abs_errors=e,
         uncertainties=u,
         log_densities=np.zeros(n),
@@ -47,9 +46,9 @@ def test_records_validation() -> None:
     with pytest.raises(ValueError):
         records_from([np.nan], [1.0])
     with pytest.raises(ValueError):
-        EvaluationRecords(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), np.array([0.5, 1.5]))
+        EvaluationRecords(np.zeros(2), np.zeros(2), np.zeros(2), np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
-        EvaluationRecords(np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2), np.zeros(2))
+        EvaluationRecords(np.zeros(1), np.zeros(2), np.zeros(2), np.zeros(2))
 
 
 def test_records_take_selects_rows() -> None:
@@ -469,7 +468,6 @@ def test_spearman_invariant_under_monotone_transforms() -> None:
 
 def test_nll_is_mean_negative_log_density() -> None:
     rec = EvaluationRecords(
-        predictions=np.zeros(2),
         abs_errors=np.zeros(2),
         uncertainties=np.ones(2),
         log_densities=np.array([-1.0, -2.0]),
@@ -482,7 +480,6 @@ def test_evaluate_bundles_individual_metrics() -> None:
     rng = np.random.default_rng(6)
     n = 256
     rec = EvaluationRecords(
-        predictions=rng.normal(size=n),
         abs_errors=rng.exponential(size=n),
         uncertainties=rng.uniform(size=n),
         log_densities=rng.normal(size=n),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from uqeval.metrics import nll
 from uqeval.network import forward
 from uqeval.predictors import (
     ENSEMBLE_FORMAT,
+    RECORD_BLOCK_ROWS,
     EnsemblePredictor,
     ScaledUncertaintyPredictor,
     TrainConfig,
@@ -77,12 +79,61 @@ def test_make_records_fields_match_formulas() -> None:
     data = generate(kind, Split.TEST, 128, 0)
     rec = make_records(TrueDistributionPredictor(kind), data)
     mean = np.cos(1.5 * np.pi * data.xs)
-    assert np.allclose(rec.predictions, mean)
-    assert np.allclose(rec.abs_errors, np.abs(data.ys - mean))
+    assert np.array_equal(rec.abs_errors, np.abs(data.ys - mean))
     assert np.allclose(rec.uncertainties, 0.01)
     direct = Gaussian(mean, 0.01)
     assert np.allclose(rec.log_densities, direct.log_density(data.ys))
     assert np.allclose(rec.pits, direct.cdf(data.ys))
+
+
+RECORD_FIELDS = ("abs_errors", "uncertainties", "log_densities", "pits")
+B = RECORD_BLOCK_ROWS
+
+
+def single_pass_fields(predictor, data: LabeledSet) -> dict:
+    """Reference: make_records before row blocks, one predict call over all rows."""
+    dist = predictor.predict(data.xs)
+    n = len(data)
+    mean = np.broadcast_to(np.asarray(dist.mean, dtype=np.float64), (n,))
+    return {
+        "abs_errors": np.abs(data.ys - mean),
+        "uncertainties": np.broadcast_to(np.asarray(dist.variance, dtype=np.float64), (n,)),
+        "log_densities": np.broadcast_to(np.asarray(dist.log_density(data.ys)), (n,)),
+        "pits": np.broadcast_to(np.asarray(dist.cdf(data.ys)), (n,)),
+    }
+
+
+def assert_records_match_single_pass(predictor, data: LabeledSet) -> None:
+    rec = make_records(predictor, data)
+    expected = single_pass_fields(predictor, data)
+    for name in RECORD_FIELDS:
+        assert getattr(rec, name).tobytes() == expected[name].tobytes(), name
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 4 * B + 1])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_blocked_records_are_bit_identical_to_single_pass(kind, n) -> None:
+    data = generate(kind, Split.TEST, n, 11)
+    assert_records_match_single_pass(TrueDistributionPredictor(kind), data)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_make_records_memory_is_records_plus_one_block(kind) -> None:
+    # Beyond the four record arrays, make_records may hold the temporaries
+    # of one block (at most 2B - 1 rows) and nothing that grows with n.
+    n = 16 * B
+    data = generate(kind, Split.TEST, n, 0)
+    predictor = TrueDistributionPredictor(kind)
+    tracemalloc.start()
+    try:
+        rec = make_records(predictor, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rec) == n
+    record_bytes = len(RECORD_FIELDS) * 8 * n
+    block_allowance = 32 * 8 * (2 * B)  # 32 float64 temporaries of the widest block
+    assert peak <= record_bytes + block_allowance
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -163,6 +214,13 @@ def test_predict_is_moment_matched_member_mixture() -> None:
     var = (variances + means**2).mean(axis=0) - mean**2
     assert np.allclose(dist.mean, mean, rtol=1e-12)
     assert np.allclose(dist.variance, var, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2 * B - 1, 2 * B + 1])
+def test_blocked_ensemble_records_are_bit_identical_to_single_pass(n) -> None:
+    de = train_ensemble(small_train_set(), SMALL)
+    data = generate(DatasetKind.HOMOSCEDASTIC, Split.TEST, n, 12)
+    assert_records_match_single_pass(de, data)
 
 
 def test_history_tracks_epoch_losses() -> None:
