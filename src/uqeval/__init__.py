@@ -9,14 +9,10 @@ stability studies.
 from .datasets import (
     DatasetKind,
     DomainError,
-    CsvFormatError,
     LabeledSet,
     Split,
-    conditional_mean,
     dataset_csv,
     generate,
-    read_csv,
-    residual_std,
 )
 from .distributions import Gaussian, GaussianMixture, moment_match, VARIANCE_FLOOR
 from .metrics import (
@@ -52,17 +48,13 @@ from .experiments import (
     RunManifest,
     StabilityResult,
     StabilityRow,
-    TableRow,
     bias_experiment,
     convergence_experiment,
     density_grid_csv,
-    guarded_report,
     make_manifest,
     read_manifest,
     sha256_file,
     sparsification_csv,
-    table_csv,
-    table_experiment,
 )
 
 __version__ = "0.1.0"

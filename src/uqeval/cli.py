@@ -18,17 +18,14 @@ from collections.abc import Iterable
 import numpy as np
 
 from .datasets import DatasetKind, Split, dataset_csv, generate
-from .metrics import CalibrationConfig, EvalConfig, RankTieMode, REPORT_HEADER, WeightMode
+from .metrics import CalibrationConfig, EvalConfig, RankTieMode, REPORT_HEADER, WeightMode, evaluate
 from .experiments import (
     bias_experiment,
     convergence_experiment,
     density_grid_csv,
-    guarded_report,
     make_manifest,
     sha256_file,
     sparsification_csv,
-    table_csv,
-    TableRow,
 )
 from .predictors import (
     TrainConfig,
@@ -52,8 +49,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}error: {message}")
 
 
+def _int_at_least(low: int):
+    """argparse `type=` for an int no smaller than `low`; a bad value is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--thresholds", type=int, default=100, metavar="M",
+    parser.add_argument("--thresholds", type=_int_at_least(2), default=100, metavar="M",
                         help="number of calibration thresholds (default 100)")
     parser.add_argument("--weights", choices=[m.value for m in WeightMode],
                         default=WeightMode.PAPER.value, help="calibration weighting")
@@ -74,20 +86,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="write a dataset CSV")
     p.add_argument("--dataset", choices=kinds, required=True)
     p.add_argument("--split", choices=[s.value for s in Split], default=Split.TEST.value)
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_int_at_least(0), default=None,
                    help=f"sample count (default {DEFAULT_TRAIN_N} train, {DEFAULT_TEST_N} test)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a deep ensemble and save it")
     p.add_argument("--dataset", choices=kinds, required=True)
-    p.add_argument("--n", type=int, default=DEFAULT_TRAIN_N)
+    p.add_argument("--n", type=_int_at_least(1), default=DEFAULT_TRAIN_N)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="metric report for one predictor on one test set")
     p.add_argument("--dataset", choices=kinds, required=True)
-    p.add_argument("--n", type=int, default=DEFAULT_TEST_N)
+    p.add_argument("--n", type=_int_at_least(1), default=DEFAULT_TEST_N)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="report CSV path (default: print to stdout)")
     _add_predictor_flags(p)
@@ -102,13 +114,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bias", help="replicate-mean study across test set sizes")
     p.add_argument("--dataset", choices=kinds, default=DatasetKind.HETEROSCEDASTIC.value)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicates", type=int, default=100)
+    p.add_argument("--replicates", type=_int_at_least(1), default=100)
     p.add_argument("--out", required=True)
     _add_predictor_flags(p)
 
     p = sub.add_parser("sparsify", help="write sparsification curve CSV")
     p.add_argument("--dataset", choices=kinds, required=True)
-    p.add_argument("--n", type=int, default=DEFAULT_TEST_N)
+    p.add_argument("--n", type=_int_at_least(1), default=DEFAULT_TEST_N)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_predictor_flags(p)
@@ -119,8 +131,8 @@ def build_parser() -> _Parser:
     p.add_argument("--x-max", type=float, default=None)
     p.add_argument("--y-min", type=float, default=-2.0)
     p.add_argument("--y-max", type=float, default=2.0)
-    p.add_argument("--nx", type=int, default=200)
-    p.add_argument("--ny", type=int, default=200)
+    p.add_argument("--nx", type=_int_at_least(1), default=200)
+    p.add_argument("--ny", type=_int_at_least(1), default=200)
     p.add_argument("--out", required=True)
     _add_predictor_flags(p)
 
@@ -141,8 +153,6 @@ def _predictor(args) -> tuple[object, dict]:
 
 
 def _eval_config(args) -> EvalConfig:
-    if args.thresholds < 1:
-        raise UsageError("error: --thresholds must be at least 1")
     return EvalConfig(
         calibration=CalibrationConfig(
             thresholds=np.linspace(0.0, 1.0, args.thresholds),
@@ -155,16 +165,19 @@ def _eval_config(args) -> EvalConfig:
 def _replace_atomically(path: str, write) -> None:
     """Calls `write(tmp)` on a fresh file next to `path`, then renames it onto `path`.
 
-    A failure anywhere leaves `path` as it was and removes the temp file.
+    A failure anywhere leaves `path` as it was and removes the temp file;
+    an OSError on the temp file is re-raised naming `path`.
     """
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         write(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -218,8 +231,8 @@ def _cmd_eval(args, argv) -> None:
     predictor, pparams = _predictor(args)
     config = _eval_config(args)
     data = generate(kind, Split.TEST, args.n, args.seed)
-    report = guarded_report(make_records(predictor, data), config)
-    text = table_csv((TableRow(kind.value, pparams["predictor"], report),))
+    report = evaluate(make_records(predictor, data), config)
+    text = f"{REPORT_HEADER}\n{report.csv_row(kind.value, pparams['predictor'])}\n"
     params = {
         "dataset": kind.value, "n": args.n, "seed": args.seed,
         "thresholds": args.thresholds, "weights": args.weights,
@@ -259,7 +272,7 @@ def _cmd_density_grid(args, argv) -> None:
     lo, hi = kind.domain
     x_min = args.x_min if args.x_min is not None else lo
     x_max = args.x_max if args.x_max is not None else hi
-    if args.nx < 1 or args.ny < 1 or x_min >= x_max or args.y_min >= args.y_max:
+    if x_min >= x_max or args.y_min >= args.y_max:
         raise UsageError("error: empty density grid")
     xs = np.linspace(x_min, x_max, args.nx)
     ys = np.linspace(args.y_min, args.y_max, args.ny)

@@ -18,10 +18,8 @@ normal noises.  Everything is a pure function of (kind, split, n, seed).
 """
 from __future__ import annotations
 
-import csv
 import enum
 import itertools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -36,14 +34,6 @@ CSV_BLOCK_ROWS = 2**14  # rows formatted per chunk of artifact text
 
 class DomainError(ValueError):
     """Raised when an input lies outside the dataset's domain."""
-
-
-class CsvFormatError(ValueError):
-    """Raised on malformed dataset CSV input; names the offending line."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class DatasetKind(enum.Enum):
@@ -87,33 +77,28 @@ class LabeledSet:
         return len(self.xs)
 
 
-def _check_domain(kind: DatasetKind, x: np.ndarray) -> np.ndarray:
+def _components(kind: DatasetKind, x) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The means of y's mixture components given x, and their common noise std.
+
+    The one place each dataset's formulas are written: `generate` draws
+    from them and the oracle predictor reports them.  One mean unless the
+    dataset is multimodal, whose two equally likely modes lie at 0.5 +/- c.
+    A constant std is a read-only broadcast view, which holds no N-length
+    buffer.
+    """
     x = np.asarray(x, dtype=np.float64)
     lo, hi = kind.domain
     if x.size and (np.min(x) < lo or np.max(x) > hi):
         raise DomainError(f"input outside {kind.value} domain [{lo}, {hi}]")
-    return x
-
-
-def conditional_mean(kind: DatasetKind, x) -> np.ndarray:
-    """Mean of y given x under the generating process."""
-    x = _check_domain(kind, x)
-    if kind in (DatasetKind.HOMOSCEDASTIC, DatasetKind.HETEROSCEDASTIC):
-        return np.cos(1.5 * np.pi * x)
     if kind is DatasetKind.MULTIMODAL:
-        # the two modes are symmetric about 0.5
-        return np.full_like(x, 0.5)
-    return 0.5 + np.cos(4 * np.pi * x)
-
-
-def residual_std(kind: DatasetKind, x) -> np.ndarray:
-    """Standard deviation of the additive noise term at x."""
-    x = _check_domain(kind, x)
+        c = np.cos(2 * np.pi * x)
+        return (0.5 + c, 0.5 - c), np.broadcast_to(0.05, x.shape)
+    if kind is DatasetKind.EPISTEMIC:
+        return (0.5 + np.cos(4 * np.pi * x),), np.broadcast_to(0.05, x.shape)
+    c = np.cos(1.5 * np.pi * x)
     if kind is DatasetKind.HOMOSCEDASTIC:
-        return np.full_like(x, 0.1)
-    if kind is DatasetKind.HETEROSCEDASTIC:
-        return 0.4 * np.abs(np.cos(1.5 * np.pi * x))
-    return np.full_like(x, 0.05)
+        return (c,), np.broadcast_to(0.1, x.shape)
+    return (c,), 0.4 * np.abs(c)
 
 
 def generate(kind: DatasetKind, split: Split, n: int, seed: int) -> LabeledSet:
@@ -132,13 +117,12 @@ def generate(kind: DatasetKind, split: Split, n: int, seed: int) -> LabeledSet:
             xs[gap] = rng.uniform(lo, hi, int(gap.sum()))
             gap = (xs >= GAP_LOW) & (xs <= GAP_HIGH)
 
+    means, std = _components(kind, xs)
     if kind is DatasetKind.MULTIMODAL:
-        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        mean = 0.5 + signs * np.cos(2 * np.pi * xs)
-    else:
-        mean = conditional_mean(kind, xs)
-
-    ys = mean + residual_std(kind, xs) * rng.standard_normal(n)
+        # one fair draw per sample picks the mode: u < 0.5 keeps 0.5 + c
+        np.copyto(means[0], means[1], where=rng.random(n) >= 0.5)
+    ys = means[0] + std * rng.standard_normal(n)
+    del means, std  # LabeledSet's checks then run beside xs and ys alone
     return LabeledSet(xs, ys)
 
 
@@ -168,24 +152,3 @@ def dataset_csv(data: LabeledSet) -> Iterator[str]:
     """`x,y` rows as chunks of text; see `csv_chunks`."""
     return csv_chunks("x,y", data.xs, data.ys)
 
-
-def read_csv(path) -> LabeledSet:
-    xs: list[float] = []
-    ys: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "y"]:
-            raise CsvFormatError(1, "expected header 'x,y'")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise CsvFormatError(line, f"expected 2 fields, got {len(row)}")
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                raise CsvFormatError(line, f"non-numeric field in {row!r}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise CsvFormatError(line, "non-finite value")
-            xs.append(x)
-            ys.append(y)
-    return LabeledSet(np.array(xs), np.array(ys))

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
-from .seeds import make_rng
-
 VARIANCE_FLOOR = 1e-12
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -50,15 +48,6 @@ class Gaussian:
     def cdf(self, y) -> np.ndarray | float:
         y = np.asarray(y, dtype=np.float64)
         out = ndtr((y - self.mean) / np.sqrt(self.variance))
-        return out if np.ndim(out) else float(out)
-
-    def sample(self, seed: int, size=None) -> np.ndarray | float:
-        rng = make_rng(seed)
-        shape = np.broadcast(np.asarray(self.mean), np.asarray(self.variance)).shape
-        if size is None:
-            size = shape
-        z = rng.standard_normal(size)
-        out = self.mean + np.sqrt(self.variance) * z
         return out if np.ndim(out) else float(out)
 
 
@@ -105,29 +94,6 @@ class GaussianMixture:
 
     def cdf(self, y) -> np.ndarray | float:
         out = sum(w * np.asarray(c.cdf(y)) for w, c in zip(self.weights, self.components))
-        return out if np.ndim(out) else float(out)
-
-    def sample(self, seed: int, size=None) -> np.ndarray | float:
-        rng = make_rng(seed)
-        shapes = [
-            np.broadcast(np.asarray(c.mean), np.asarray(c.variance)).shape
-            for c in self.components
-        ]
-        if size is None:
-            size = np.broadcast_shapes(*shapes)
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        # component choice first, then one normal draw per element
-        choice = np.searchsorted(np.cumsum(self.weights), rng.random(shape), side="right")
-        choice = np.minimum(choice, len(self.components) - 1)
-        z = rng.standard_normal(shape)
-        means = np.stack([np.broadcast_to(c.mean, shape) for c in self.components])
-        stds = np.stack([np.sqrt(np.broadcast_to(c.variance, shape)) for c in self.components])
-        flat_choice = choice.ravel()
-        flat_pos = np.arange(flat_choice.size)
-        k = len(self.components)
-        mean_sel = means.reshape(k, -1)[flat_choice, flat_pos].reshape(shape)
-        std_sel = stds.reshape(k, -1)[flat_choice, flat_pos].reshape(shape)
-        out = mean_sel + std_sel * z
         return out if np.ndim(out) else float(out)
 
 

@@ -1,4 +1,4 @@
-"""Experiment harness: metric stability studies and summary tables.
+"""Experiment harness: metric stability studies and artifact CSVs.
 
 Two stability protocols over a fixed predictor (heteroscedastic data by
 default):
@@ -19,46 +19,18 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import warnings
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .datasets import CSV_BLOCK_ROWS, DatasetKind, Split, csv_chunks, csv_rows, generate
-from .metrics import (
-    REPORT_HEADER,
-    EvalConfig,
-    EvaluationRecords,
-    MetricReport,
-    UndefinedMetricError,
-    ause,
-    calibration_error,
-    nll,
-    sparsification_curve,
-    spearman,
-)
+from .metrics import EvalConfig, MetricReport, evaluate, sparsification_curve
 from .predictors import log_density_grid, make_records
-from .seeds import TAG_REPLICATE, TAG_SUBSET, TAG_TABLE, derive_seed, make_rng
+from .seeds import TAG_REPLICATE, TAG_SUBSET, derive_seed, make_rng
 
 SIZES = tuple(2**k for k in range(3, 17))
 DEFAULT_REPLICATES = 100
-
-
-def guarded_report(records: EvaluationRecords, config: EvalConfig | None = None) -> MetricReport:
-    """Like metrics.evaluate but records undefined metrics as nan."""
-    config = config or EvalConfig()
-    try:
-        rho = spearman(records.uncertainties, records.abs_errors, config.rank_tie_mode)
-    except UndefinedMetricError as exc:
-        warnings.warn(f"spearman undefined ({exc}); recording nan", RuntimeWarning)
-        rho = float("nan")
-    return MetricReport(
-        ause=ause(records, config.sparsification_grid, config.tie_seed),
-        ce=calibration_error(records.pits, config.calibration),
-        spearman=rho,
-        nll=nll(records),
-    )
 
 
 # ----------------------------------------------------------------- stability
@@ -97,7 +69,7 @@ def convergence_experiment(
     rows = []
     for size in sizes:
         subset = records.take(perm[:size])
-        rows.append(StabilityRow(size, guarded_report(subset, eval_config)))
+        rows.append(StabilityRow(size, evaluate(subset, eval_config)))
     return StabilityResult(tuple(rows))
 
 
@@ -117,7 +89,7 @@ def bias_experiment(
         for rep in range(replicates):
             seed = derive_seed(base_seed, TAG_REPLICATE, size_ix, rep)
             data = generate(kind, Split.TEST, size, seed)
-            reports.append(guarded_report(make_records(predictor, data), eval_config))
+            reports.append(evaluate(make_records(predictor, data), eval_config))
         mean = MetricReport(
             ause=float(np.mean([r.ause for r in reports])),
             ce=float(np.mean([r.ce for r in reports])),
@@ -126,39 +98,6 @@ def bias_experiment(
         )
         rows.append(StabilityRow(size, mean))
     return StabilityResult(tuple(rows))
-
-
-# ----------------------------------------------------------------- summary table
-
-@dataclass(frozen=True)
-class TableRow:
-    dataset: str
-    predictor: str
-    report: MetricReport
-
-
-def table_experiment(
-    predictors: list[tuple[str, object]],
-    kinds: tuple[DatasetKind, ...] = tuple(DatasetKind),
-    base_seed: int = 0,
-    n: int = 2**16,
-    eval_config: EvalConfig | None = None,
-) -> tuple[TableRow, ...]:
-    """One test set per dataset kind, shared across the named predictors."""
-    rows = []
-    for kind_ix, kind in enumerate(kinds):
-        data = generate(kind, Split.TEST, n, derive_seed(base_seed, TAG_TABLE, kind_ix))
-        for name, predictor in predictors:
-            report = guarded_report(make_records(predictor, data), eval_config)
-            rows.append(TableRow(kind.value, name, report))
-    return tuple(rows)
-
-
-def table_csv(rows: tuple[TableRow, ...]) -> str:
-    lines = [REPORT_HEADER]
-    for row in rows:
-        lines.append(row.report.csv_row(row.dataset, row.predictor))
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------- artifact CSVs

@@ -14,6 +14,7 @@ per-sample quantities produced by `uqeval.predictors.make_records`.
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,11 +303,22 @@ class MetricReport:
 
 
 def evaluate(records: EvaluationRecords, config: EvalConfig | None = None) -> MetricReport:
-    """All four metrics in one pass; propagates component errors."""
+    """All four metrics in one pass.
+
+    Empty records raise ValueError.  A Spearman correlation that is
+    undefined (fewer than two samples, or constant uncertainties or
+    errors) is recorded as nan with a RuntimeWarning, never as a silent 0.
+    """
+    _require_nonempty(records)
     config = config or EvalConfig()
+    try:
+        rho = spearman(records.uncertainties, records.abs_errors, config.rank_tie_mode)
+    except UndefinedMetricError as exc:
+        warnings.warn(f"spearman undefined ({exc}); recording nan", RuntimeWarning)
+        rho = float("nan")
     return MetricReport(
         ause=ause(records, config.sparsification_grid, config.tie_seed),
         ce=calibration_error(records.pits, config.calibration),
-        spearman=spearman(records.uncertainties, records.abs_errors, config.rank_tie_mode),
+        spearman=rho,
         nll=nll(records),
     )

@@ -47,9 +47,6 @@ class MlpParams:
     def from_arrays(cls, arrays: list[np.ndarray]) -> "MlpParams":
         return cls(weights=list(arrays[0::2]), biases=list(arrays[1::2]))
 
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 def init_params(rng: np.random.Generator) -> MlpParams:
     """Uniform [-a, a] init with a = 1 / sqrt(fan_in), weights then bias per layer."""

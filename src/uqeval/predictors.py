@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import DatasetKind, LabeledSet, _check_domain, residual_std
+from .datasets import DatasetKind, LabeledSet, _components
 from .distributions import Gaussian, GaussianMixture, moment_match
 from .metrics import EvaluationRecords
 from .network import (
@@ -54,18 +54,12 @@ class TrueDistributionPredictor:
     label: str = "oracle"
 
     def predict(self, x):
-        x = _check_domain(self.kind, x)
-        if self.kind is DatasetKind.MULTIMODAL:
-            offset = np.cos(2 * np.pi * x)
-            var = np.full_like(x, 0.05**2)
-            return GaussianMixture(
-                weights=np.array([0.5, 0.5]),
-                components=(Gaussian(0.5 + offset, var), Gaussian(0.5 - offset, var)),
-            )
-        if self.kind is DatasetKind.EPISTEMIC:
-            return Gaussian(0.5 + np.cos(4 * np.pi * x), np.full_like(x, 0.05**2))
-        mean = np.cos(1.5 * np.pi * x)
-        return Gaussian(mean, residual_std(self.kind, x) ** 2)
+        means, std = _components(self.kind, x)
+        var = std**2
+        del std  # Gaussian's variance floor then runs beside the means and var alone
+        if len(means) == 1:
+            return Gaussian(means[0], var)
+        return GaussianMixture(np.array([0.5, 0.5]), tuple(Gaussian(m, var) for m in means))
 
 
 @dataclass(frozen=True)
@@ -119,13 +113,9 @@ class EnsemblePredictor:
     history: tuple[tuple[float, ...], ...]  # mean training loss per member, per epoch
     label: str = "ensemble"
 
-    def mixture(self, x) -> GaussianMixture:
-        comps = tuple(forward(params, x) for params in self.members)
-        weights = np.full(len(comps), 1.0 / len(comps))
-        return GaussianMixture(weights, comps)
-
     def predict(self, x) -> Gaussian:
-        return moment_match(self.mixture(x))
+        comps = tuple(forward(params, x) for params in self.members)
+        return moment_match(GaussianMixture(np.full(len(comps), 1.0 / len(comps)), comps))
 
 
 def _train_member(train: LabeledSet, config: TrainConfig, member: int) -> tuple[MlpParams, list[float]]:

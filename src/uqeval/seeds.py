@@ -20,7 +20,6 @@ TAG_TIEBREAK = 0x02
 TAG_MEMBER = 0x03
 TAG_SUBSET = 0x04
 TAG_REPLICATE = 0x05
-TAG_TABLE = 0x06
 
 
 def splitmix64(value: int) -> int:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 import uqeval
 import uqeval.datasets
 from uqeval.cli import run
-from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate, read_csv
+from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
 from uqeval.experiments import read_manifest, sha256_file
-from uqeval.metrics import REPORT_HEADER
+from uqeval.metrics import REPORT_HEADER, evaluate
+from uqeval.predictors import TrueDistributionPredictor, make_records
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +31,10 @@ def test_generate_writes_dataset_and_manifest(tmp_path) -> None:
     code = run(["generate", "--dataset", "multimodal", "--split", "test",
                 "--n", "50", "--seed", "3", "--out", str(out)])
     assert code == 0
-    data = read_csv(out)
+    xs, ys = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
     direct = generate(DatasetKind.MULTIMODAL, Split.TEST, 50, 3)
-    assert np.array_equal(data.xs, direct.xs)
-    assert np.array_equal(data.ys, direct.ys)
+    assert xs.tobytes() == direct.xs.tobytes()
+    assert ys.tobytes() == direct.ys.tobytes()
     manifest = read_manifest(f"{out}.manifest.json")
     assert manifest.command == "generate"
     assert manifest.parameters["n"] == 50
@@ -44,8 +46,9 @@ def test_generate_split_defaults(tmp_path) -> None:
     code = run(["generate", "--dataset", "epistemic", "--split", "train",
                 "--n", "200", "--seed", "1", "--out", str(out)])
     assert code == 0
-    data = read_csv(out)
-    assert not ((data.xs >= 0.35) & (data.xs <= 0.65)).any()
+    xs, ys = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+    assert len(xs) == 200
+    assert not ((xs >= 0.35) & (xs <= 0.65)).any()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys) -> None:
@@ -57,6 +60,30 @@ def test_usage_errors_exit_1(tmp_path, capsys) -> None:
     err = capsys.readouterr().err
     assert "usage" in err
     assert run(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--dataset", "multimodal", "--n", "0"],
+    ["eval", "--dataset", "multimodal", "--n", "-3"],
+    ["eval", "--dataset", "multimodal", "--n", "ten"],
+    ["sparsify", "--dataset", "multimodal", "--n", "0"],
+    ["train", "--dataset", "homoscedastic", "--n", "0"],
+    ["generate", "--dataset", "multimodal", "--n", "-1"],
+    ["bias", "--replicates", "0"],
+    ["eval", "--dataset", "multimodal", "--thresholds", "1"],
+    ["density-grid", "--dataset", "multimodal", "--nx", "0"],
+    ["density-grid", "--dataset", "multimodal", "--ny", "0"],
+])
+def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv) -> None:
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert "usage" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_accepts_zero_rows(tmp_path) -> None:
+    out = tmp_path / "empty.csv"
+    assert run(["generate", "--dataset", "multimodal", "--n", "0", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "x,y\n"
 
 
 def test_eval_requires_model_path_for_ensemble(capsys) -> None:
@@ -75,6 +102,9 @@ def test_runtime_failures_exit_2(tmp_path, capsys) -> None:
     code = run(["generate", "--dataset", "multimodal", "--n", "4",
                 "--out", str(unwritable)])
     assert code == 2
+    err = capsys.readouterr().err
+    assert str(unwritable) in err  # the failed write names its target
+    assert ".tmp" not in err
 
 
 def test_eval_oracle_to_stdout(capsys) -> None:
@@ -89,6 +119,20 @@ def test_eval_oracle_to_stdout(capsys) -> None:
     manifest = json.loads(captured.err)
     assert manifest["command"] == "eval"
     assert manifest["outputs"] == []
+
+
+# homoscedastic: tied oracle uncertainties, so spearman is nan
+@pytest.mark.parametrize("kind", [DatasetKind.HETEROSCEDASTIC, DatasetKind.HOMOSCEDASTIC])
+def test_eval_row_is_the_evaluate_report(tmp_path, kind) -> None:
+    out = tmp_path / "report.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(["eval", "--dataset", kind.value, "--n", "256", "--seed", "4",
+                    "--out", str(out)]) == 0
+        data = generate(kind, Split.TEST, 256, 4)
+        report = evaluate(make_records(TrueDistributionPredictor(kind), data))
+    expected = f"{REPORT_HEADER}\n{report.csv_row(kind.value, 'oracle')}\n"
+    assert out.read_text(encoding="utf-8") == expected
 
 
 def test_eval_flags_change_the_report(tmp_path) -> None:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,21 +8,33 @@ from hypothesis import strategies as st
 
 from uqeval.datasets import (
     CSV_BLOCK_ROWS,
-    CsvFormatError,
     DatasetKind,
-    DomainError,
     GAP_HIGH,
     GAP_LOW,
     LabeledSet,
     Split,
-    conditional_mean,
     dataset_csv,
     generate,
-    read_csv,
-    residual_std,
 )
+from uqeval.distributions import VARIANCE_FLOOR, Gaussian, GaussianMixture
+from uqeval.predictors import TrueDistributionPredictor, make_records
+from uqeval.seeds import TAG_DATASET, derive_seed, make_rng
 
 ALL_KINDS = list(DatasetKind)
+
+
+def oracle_moments(kind: DatasetKind, x) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the oracle's predictive distribution at x."""
+    dist = TrueDistributionPredictor(kind).predict(x)
+    return np.asarray(dist.mean), np.asarray(dist.variance)
+
+
+def load_xy(path) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y columns of a dataset CSV, parsed by numpy."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).reshape(-1, 2)
+    return table[:, 0], table[:, 1]
 
 # largest possible std of y - m(x), per kind, for CLT bounds
 SIGMA_MAX = {
@@ -76,7 +89,7 @@ def test_epistemic_train_excludes_gap_test_covers_it() -> None:
 def test_residual_mean_near_zero_at_scale(kind) -> None:
     n = 2**16
     data = generate(kind, Split.TEST, n, 0)
-    resid = data.ys - conditional_mean(kind, data.xs)
+    resid = data.ys - oracle_moments(kind, data.xs)[0]
     bound = 4.0 * SIGMA_MAX[kind] / math.sqrt(n)
     assert abs(resid.mean()) < bound
 
@@ -103,35 +116,28 @@ def test_multimodal_mode_balance() -> None:
 def test_heteroscedastic_noise_tracks_schedule() -> None:
     n = 2**16
     data = generate(DatasetKind.HETEROSCEDASTIC, Split.TEST, n, 4)
-    resid = data.ys - conditional_mean(DatasetKind.HETEROSCEDASTIC, data.xs)
-    sd = residual_std(DatasetKind.HETEROSCEDASTIC, data.xs)
+    mean, var = oracle_moments(DatasetKind.HETEROSCEDASTIC, data.xs)
+    resid = data.ys - mean
+    sd = np.sqrt(var)
     quiet = sd < 0.05
     loud = sd > 0.35
     assert resid[quiet].std() < resid[loud].std() / 3
 
 
-def test_residual_std_values() -> None:
-    assert residual_std(DatasetKind.HOMOSCEDASTIC, 0.3) == pytest.approx(0.1)
-    assert residual_std(DatasetKind.HETEROSCEDASTIC, 0.0) == pytest.approx(0.4)
-    x = 1.0 / 3.0  # 1.5 pi x = pi / 2, noise vanishes
-    assert residual_std(DatasetKind.HETEROSCEDASTIC, x) == pytest.approx(0.0, abs=1e-12)
-    assert residual_std(DatasetKind.MULTIMODAL, 0.5) == pytest.approx(0.05)
-    assert residual_std(DatasetKind.EPISTEMIC, 0.5) == pytest.approx(0.05)
+def test_noise_std_values() -> None:
+    assert oracle_moments(DatasetKind.HOMOSCEDASTIC, 0.3)[1] == pytest.approx(0.1**2)
+    assert oracle_moments(DatasetKind.HETEROSCEDASTIC, 0.0)[1] == pytest.approx(0.4**2)
+    x = 1.0 / 3.0  # 1.5 pi x = pi / 2, noise vanishes down to the variance floor
+    assert oracle_moments(DatasetKind.HETEROSCEDASTIC, x)[1] == VARIANCE_FLOOR
+    modes = TrueDistributionPredictor(DatasetKind.MULTIMODAL).predict(0.5).components
+    assert [c.variance for c in modes] == pytest.approx([0.05**2, 0.05**2])
+    assert oracle_moments(DatasetKind.EPISTEMIC, 0.5)[1] == pytest.approx(0.05**2)
 
 
 def test_conditional_mean_values() -> None:
-    assert conditional_mean(DatasetKind.HOMOSCEDASTIC, 0.0) == pytest.approx(1.0)
-    assert conditional_mean(DatasetKind.MULTIMODAL, 0.9) == pytest.approx(0.5)
-    assert conditional_mean(DatasetKind.EPISTEMIC, 0.25) == pytest.approx(0.5 + math.cos(math.pi))
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_domain_errors(kind) -> None:
-    lo, hi = kind.domain
-    with pytest.raises(DomainError):
-        residual_std(kind, hi + 0.1)
-    with pytest.raises(DomainError):
-        conditional_mean(kind, np.array([lo, lo - 0.5]))
+    assert oracle_moments(DatasetKind.HOMOSCEDASTIC, 0.0)[0] == pytest.approx(1.0)
+    assert oracle_moments(DatasetKind.MULTIMODAL, 0.9)[0] == pytest.approx(0.5)
+    assert oracle_moments(DatasetKind.EPISTEMIC, 0.25)[0] == pytest.approx(0.5 + math.cos(math.pi))
 
 
 def test_labeled_set_validation_and_immutability() -> None:
@@ -151,9 +157,9 @@ def test_csv_round_trip(tmp_path) -> None:
     text = path.read_text(encoding="utf-8")
     assert text.startswith("x,y\n")
     assert "\r" not in text
-    back = read_csv(path)
-    assert np.array_equal(back.xs, data.xs)
-    assert np.array_equal(back.ys, data.ys)
+    xs, ys = load_xy(path)
+    assert xs.tobytes() == data.xs.tobytes()
+    assert ys.tobytes() == data.ys.tobytes()
 
 
 def test_streamed_dataset_csv_equals_string_built_text() -> None:
@@ -182,32 +188,89 @@ def test_csv_round_trip_arbitrary_floats(tmp_path_factory, pairs) -> None:
     xs = np.array([p[0] for p in pairs], dtype=np.float64)
     ys = np.array([p[1] for p in pairs], dtype=np.float64)
     path.write_text("".join(dataset_csv(LabeledSet(xs, ys))), encoding="utf-8", newline="\n")
-    back = read_csv(path)
-    assert np.array_equal(back.xs, xs)
-    assert np.array_equal(back.ys, ys)
+    back_xs, back_ys = load_xy(path)
+    assert back_xs.tobytes() == xs.tobytes()
+    assert back_ys.tobytes() == ys.tobytes()
 
 
-def test_csv_parse_errors_name_line_numbers(tmp_path) -> None:
-    bad_header = tmp_path / "a.csv"
-    bad_header.write_text("u,v\n1.0,2.0\n", encoding="utf-8")
-    with pytest.raises(CsvFormatError) as err:
-        read_csv(bad_header)
-    assert err.value.line == 1
 
-    bad_field = tmp_path / "b.csv"
-    bad_field.write_text("x,y\n1.0,oops\n", encoding="utf-8")
-    with pytest.raises(CsvFormatError) as err:
-        read_csv(bad_field)
-    assert err.value.line == 2
+# ------------------------------------------------- reference: the formulas as first written
+#
+# `generate` and the oracle once wrote each dataset's formulas out separately.
+# These copies of that code pin the shared per-kind formulas bit for bit.
 
-    bad_arity = tmp_path / "c.csv"
-    bad_arity.write_text("x,y\n1.0,2.0\n3.0,4.0,5.0\n", encoding="utf-8")
-    with pytest.raises(CsvFormatError) as err:
-        read_csv(bad_arity)
-    assert err.value.line == 3
+def reference_conditional_mean(kind: DatasetKind, x: np.ndarray) -> np.ndarray:
+    if kind in (DatasetKind.HOMOSCEDASTIC, DatasetKind.HETEROSCEDASTIC):
+        return np.cos(1.5 * np.pi * x)
+    if kind is DatasetKind.MULTIMODAL:
+        return np.full_like(x, 0.5)
+    return 0.5 + np.cos(4 * np.pi * x)
 
-    non_finite = tmp_path / "d.csv"
-    non_finite.write_text("x,y\n1.0,inf\n", encoding="utf-8")
-    with pytest.raises(CsvFormatError) as err:
-        read_csv(non_finite)
-    assert err.value.line == 2
+
+def reference_residual_std(kind: DatasetKind, x: np.ndarray) -> np.ndarray:
+    if kind is DatasetKind.HOMOSCEDASTIC:
+        return np.full_like(x, 0.1)
+    if kind is DatasetKind.HETEROSCEDASTIC:
+        return 0.4 * np.abs(np.cos(1.5 * np.pi * x))
+    return np.full_like(x, 0.05)
+
+
+def reference_generate(kind: DatasetKind, split: Split, n: int, seed: int) -> LabeledSet:
+    kind_ix = list(DatasetKind).index(kind)
+    split_ix = list(Split).index(split)
+    rng = make_rng(derive_seed(seed, TAG_DATASET, kind_ix, split_ix))
+    lo, hi = kind.domain
+    xs = rng.uniform(lo, hi, n)
+    if kind is DatasetKind.EPISTEMIC and split is Split.TRAIN:
+        gap = (xs >= GAP_LOW) & (xs <= GAP_HIGH)
+        while gap.any():
+            xs[gap] = rng.uniform(lo, hi, int(gap.sum()))
+            gap = (xs >= GAP_LOW) & (xs <= GAP_HIGH)
+    if kind is DatasetKind.MULTIMODAL:
+        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        mean = 0.5 + signs * np.cos(2 * np.pi * xs)
+    else:
+        mean = reference_conditional_mean(kind, xs)
+    ys = mean + reference_residual_std(kind, xs) * rng.standard_normal(n)
+    return LabeledSet(xs, ys)
+
+
+class ReferenceOracle:
+    def __init__(self, kind: DatasetKind):
+        self.kind = kind
+
+    def predict(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        if self.kind is DatasetKind.MULTIMODAL:
+            offset = np.cos(2 * np.pi * x)
+            var = np.full_like(x, 0.05**2)
+            return GaussianMixture(
+                weights=np.array([0.5, 0.5]),
+                components=(Gaussian(0.5 + offset, var), Gaussian(0.5 - offset, var)),
+            )
+        if self.kind is DatasetKind.EPISTEMIC:
+            return Gaussian(0.5 + np.cos(4 * np.pi * x), np.full_like(x, 0.05**2))
+        mean = np.cos(1.5 * np.pi * x)
+        return Gaussian(mean, reference_residual_std(self.kind, x) ** 2)
+
+
+def parameter_bytes(dist) -> list[bytes]:
+    parts = dist.components if isinstance(dist, GaussianMixture) else (dist,)
+    return [np.asarray(v).tobytes() for c in parts for v in (c.mean, c.variance)]
+
+
+@pytest.mark.parametrize("seed", [0, 1009])
+@pytest.mark.parametrize("n", [0, 1, 7, 4099, 65537])
+@pytest.mark.parametrize("split", list(Split))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_shared_formulas_are_bit_identical_to_reference(kind, split, n, seed) -> None:
+    data = generate(kind, split, n, seed)
+    ref = reference_generate(kind, split, n, seed)
+    assert data.xs.tobytes() == ref.xs.tobytes()
+    assert data.ys.tobytes() == ref.ys.tobytes()
+
+    oracle, ref_oracle = TrueDistributionPredictor(kind), ReferenceOracle(kind)
+    assert parameter_bytes(oracle.predict(data.xs)) == parameter_bytes(ref_oracle.predict(data.xs))
+    got, want = make_records(oracle, data), make_records(ref_oracle, data)
+    for field in ("abs_errors", "uncertainties", "log_densities", "pits"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field

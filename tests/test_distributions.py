@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 from uqeval.distributions import (
     Gaussian,
@@ -118,15 +118,23 @@ def test_moment_match_preserves_mean_and_variance() -> None:
     assert g.variance == pytest.approx(mix.variance)
 
 
-def test_moment_match_against_monte_carlo() -> None:
+def grid_moments(dist, lo: float, hi: float) -> tuple[float, float]:
+    """Mean and variance of exp(log_density), integrated on a fine grid."""
+    y = np.linspace(lo, hi, 400_001)
+    p = np.exp(dist.log_density(y))
+    mean = trapezoid(y * p, y)
+    return mean, trapezoid((y - mean) ** 2 * p, y)
+
+
+def test_moment_match_agrees_with_integrated_density() -> None:
     mix = GaussianMixture(
         np.array([0.25, 0.75]),
         (Gaussian(-2.0, 0.5), Gaussian(1.0, 2.0)),
     )
-    draws = mix.sample(seed=99, size=10**6)
+    mean, var = grid_moments(mix, -20.0, 20.0)
     g = moment_match(mix)
-    assert g.mean == pytest.approx(draws.mean(), rel=0.01, abs=0.01)
-    assert g.variance == pytest.approx(draws.var(), rel=0.01)
+    assert g.mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
+    assert g.variance == pytest.approx(var, rel=1e-9)
 
 
 def test_mixture_log_density_matches_direct_sum() -> None:
@@ -162,29 +170,26 @@ def test_mixture_cdf_weighted_sum_and_symmetry() -> None:
     assert mix.cdf(0.7) == pytest.approx(direct, rel=1e-12)
 
 
-def test_gaussian_sampling_statistics() -> None:
-    g = Gaussian(0.0, 1.0)
-    draws = g.sample(seed=4, size=10**6)
-    assert np.array_equal(draws, g.sample(seed=4, size=10**6))
-    assert abs(draws.mean()) < 0.005
-    assert draws.var() == pytest.approx(1.0, rel=0.01)
+def test_gaussian_density_moments_are_its_parameters() -> None:
+    mean, var = grid_moments(Gaussian(0.0, 1.0), -12.0, 12.0)
+    assert mean == pytest.approx(0.0, abs=1e-12)
+    assert var == pytest.approx(1.0, rel=1e-9)
 
 
-def test_mixture_sampling_component_frequencies() -> None:
+def test_mixture_cdf_between_separated_components_is_lower_weight() -> None:
     w = np.array([0.3, 0.7])
     mix = GaussianMixture(w, (Gaussian(0.0, 1.0), Gaussian(100.0, 1.0)))
-    n = 10**5
-    draws = mix.sample(seed=8, size=n)
-    frac_high = (draws > 50.0).mean()
-    bound = 4.0 * math.sqrt(w[1] * w[0] / n)
-    assert abs(frac_high - w[1]) < bound
+    assert mix.cdf(50.0) == pytest.approx(0.3, abs=1e-15)
 
 
-def test_elementwise_sampling_shape_follows_parameters() -> None:
+def test_elementwise_shape_follows_parameters() -> None:
     g = Gaussian(np.array([0.0, 10.0, -10.0]), np.array([1e-6, 1e-6, 1e-6]))
-    draws = g.sample(seed=1)
-    assert draws.shape == (3,)
-    assert np.allclose(draws, [0.0, 10.0, -10.0], atol=0.1)
+    assert g.cdf(0.0).shape == (3,)
+    assert np.allclose(g.cdf(0.0), [0.5, 0.0, 1.0])
+    assert g.log_density(np.array([0.0, 10.0, -10.0])).shape == (3,)
+    mix = GaussianMixture(np.array([0.5, 0.5]), (g, Gaussian(0.0, 1.0)))
+    assert mix.cdf(0.0).shape == (3,)
+    assert np.asarray(mix.log_density(0.0)).shape == (3,)
 
 
 @settings(max_examples=60, deadline=None)

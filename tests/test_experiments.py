@@ -13,13 +13,10 @@ from uqeval.experiments import (
     bias_experiment,
     convergence_experiment,
     density_grid_csv,
-    guarded_report,
     make_manifest,
     read_manifest,
     sha256_file,
     sparsification_csv,
-    table_csv,
-    table_experiment,
 )
 from uqeval.predictors import TrueDistributionPredictor, log_density_grid, make_records
 from uqeval.seeds import TAG_REPLICATE, derive_seed
@@ -61,11 +58,11 @@ def test_convergence_full_size_equals_one_shot_evaluation() -> None:
     assert row.nll == pytest.approx(direct.nll, rel=1e-12)
 
 
-def test_guarded_report_records_nan_with_warning() -> None:
+def test_evaluate_records_nan_under_constant_uncertainty() -> None:
     data = generate(DatasetKind.HOMOSCEDASTIC, Split.TEST, 64, 0)
     records = make_records(ORACLE_HOMO, data)
     with pytest.warns(RuntimeWarning, match="spearman undefined"):
-        report = guarded_report(records)
+        report = evaluate(records)
     assert math.isnan(report.spearman)
     assert math.isfinite(report.ause)
     assert math.isfinite(report.nll)
@@ -74,7 +71,7 @@ def test_guarded_report_records_nan_with_warning() -> None:
 def test_stability_csv_format_and_nan_marker() -> None:
     data = generate(DatasetKind.HOMOSCEDASTIC, Split.TEST, 32, 0)
     with pytest.warns(RuntimeWarning):
-        report = guarded_report(make_records(ORACLE_HOMO, data))
+        report = evaluate(make_records(ORACLE_HOMO, data))
     result = StabilityResult(rows=(StabilityRow(32, report),))
     text = result.to_csv()
     lines = text.strip().split("\n")
@@ -108,40 +105,6 @@ def test_bias_replicates_average_and_determinism() -> None:
     assert a.rows[0].report.nll != single.rows[0].report.nll
     with pytest.raises(ValueError):
         bias_experiment(ORACLE_HET, replicates=0, sizes=sizes)
-
-
-def test_table_experiment_rows_and_csv() -> None:
-    rows = table_experiment(
-        [("oracle", ORACLE_HET)],
-        kinds=(DatasetKind.HETEROSCEDASTIC,),
-        base_seed=0,
-        n=256,
-    )
-    assert len(rows) == 1
-    assert rows[0].dataset == "heteroscedastic"
-    assert rows[0].predictor == "oracle"
-    text = table_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "dataset,predictor,ause,ce,spearman,nll"
-    cells = lines[1].split(",")
-    assert cells[0] == "heteroscedastic"
-    assert float(cells[5]) == pytest.approx(rows[0].report.nll, rel=1e-5)
-
-
-def test_table_supports_multiple_predictors_per_kind() -> None:
-    with pytest.warns(RuntimeWarning):  # homoscedastic oracle has tied uncertainties
-        rows = table_experiment(
-            [("oracle", ORACLE_HOMO), ("oracle-x2", ORACLE_HOMO)],
-            kinds=(DatasetKind.HOMOSCEDASTIC,),
-            base_seed=0,
-            n=128,
-        )
-    assert [(r.dataset, r.predictor) for r in rows] == [
-        ("homoscedastic", "oracle"),
-        ("homoscedastic", "oracle-x2"),
-    ]
-    # both predictors saw the same test set
-    assert rows[0].report.nll == rows[1].report.nll
 
 
 def test_sparsification_csv_layout() -> None:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -493,10 +494,21 @@ def test_evaluate_bundles_individual_metrics() -> None:
     assert report.nll == pytest.approx(nll(rec))
 
 
-def test_evaluate_propagates_undefined_spearman() -> None:
+def test_evaluate_records_undefined_spearman_as_nan() -> None:
     rec = records_from([1.0], [1.0])
-    with pytest.raises(UndefinedMetricError):
-        evaluate(rec)
+    with pytest.warns(RuntimeWarning, match=r"spearman undefined \(need at least 2 samples\); recording nan"):
+        report = evaluate(rec)
+    assert math.isnan(report.spearman)
+    assert report.ause == ause(rec)
+    assert report.nll == nll(rec)
+
+
+def test_evaluate_rejects_empty_records_before_any_warning() -> None:
+    rec = records_from([], [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty records"):
+            evaluate(rec)
 
 
 def test_report_csv_row_uses_six_significant_digits() -> None:

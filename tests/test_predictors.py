@@ -70,6 +70,8 @@ def test_oracle_rejects_out_of_domain(kind) -> None:
     lo, hi = kind.domain
     with pytest.raises(DomainError):
         pred.predict(np.array([hi + 0.01]))
+    with pytest.raises(DomainError):
+        pred.predict(np.array([lo, lo - 0.5]))
 
 
 # ----------------------------------------------------------------- records
