@@ -272,6 +272,9 @@ def _cmd_density_grid(args, argv) -> None:
     lo, hi = kind.domain
     x_min = args.x_min if args.x_min is not None else lo
     x_max = args.x_max if args.x_max is not None else hi
+    if args.predictor == "oracle" and not (lo <= x_min and x_max <= hi):
+        raise UsageError(f"error: the {kind.value} oracle is defined on [{lo}, {hi}] only, "
+                         f"got --x-min {x_min} --x-max {x_max}")
     if x_min >= x_max or args.y_min >= args.y_max:
         raise UsageError("error: empty density grid")
     xs = np.linspace(x_min, x_max, args.nx)
@@ -299,8 +302,11 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            raise UsageError(f"{parser.format_usage()}error: a command is required")
-        _COMMANDS[args.command](args, argv)
+            parser.error("a command is required")
+        try:
+            _COMMANDS[args.command](args, argv)
+        except UsageError as exc:  # a check across flags, reported like argparse's own
+            raise UsageError(f"{parser.format_usage()}{exc}") from None
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -43,10 +43,6 @@ class MlpParams:
             out.extend([w, b])
         return out
 
-    @classmethod
-    def from_arrays(cls, arrays: list[np.ndarray]) -> "MlpParams":
-        return cls(weights=list(arrays[0::2]), biases=list(arrays[1::2]))
-
 
 def init_params(rng: np.random.Generator) -> MlpParams:
     """Uniform [-a, a] init with a = 1 / sqrt(fan_in), weights then bias per layer."""
@@ -193,16 +189,29 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     config: AdamConfig,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One update with bias correction; returns fresh arrays and state."""
-    t = state.step + 1
-    new_arrays, new_m, new_v = [], [], []
+) -> None:
+    """One update with bias correction, in place on `arrays`, `state.m` and `state.v`.
+
+    Kingma & Ba (2015), Alg. 1, in this operand order:
+    m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
+    a -= ((m / c1) lr) / (sqrt(v / c2) + eps)  with c_i = 1 - b_i^t.
+    Every product and quotient is the one an allocating evaluation of
+    these expressions computes, so the bits do not depend on the buffers.
+    """
+    state.step += 1
+    c1 = 1.0 - config.beta1**state.step
+    c2 = 1.0 - config.beta2**state.step
     for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
-        new_arrays.append(a - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_arrays, AdamState(step=t, m=new_m, v=new_v)
+        step, den = np.empty_like(a), np.empty_like(a)
+        m *= config.beta1
+        m += np.multiply(g, 1.0 - config.beta1, out=step)
+        v *= config.beta2
+        np.multiply(g, 1.0 - config.beta2, out=step)
+        v += np.multiply(step, g, out=step)
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += config.eps
+        np.divide(m, c1, out=step)
+        step *= config.learning_rate
+        step /= den
+        a -= step

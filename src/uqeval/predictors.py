@@ -8,8 +8,11 @@ per-sample records the metrics consume.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import zipfile
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .seeds import TAG_MEMBER, derive_seed, make_rng
 
 ENSEMBLE_FORMAT = "uqeval-ensemble-v1"
 RECORD_BLOCK_ROWS = 16 * FORWARD_CHUNK_ROWS  # rows scored at once by make_records
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -44,6 +48,9 @@ class TrainingDivergedError(RuntimeError):
         self.member = member
         self.epoch = epoch
         self.batch = batch
+
+    def __reduce__(self):  # so a training worker can send it back to the parent
+        return type(self), (self.member, self.epoch, self.batch)
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,8 @@ def _train_member(train: LabeledSet, config: TrainConfig, member: int) -> tuple[
     # one stream per member: init draws first, then one shuffle per epoch
     rng = make_rng(derive_seed(config.seed, TAG_MEMBER, member))
     params = init_params(rng)
-    state = AdamState.zeros_like(params.arrays())
+    arrays = params.arrays()  # the same objects as params.weights/biases, updated in place
+    state = AdamState.zeros_like(arrays)
     n = len(train)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
@@ -133,27 +141,62 @@ def _train_member(train: LabeledSet, config: TrainConfig, member: int) -> tuple[
             loss, grads = loss_and_grads(params, train.xs[batch], train.ys[batch])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(member, epoch, start // config.batch_size)
-            arrays, state = adam_step(params.arrays(), grads.arrays(), state, config.adam)
-            params = MlpParams.from_arrays(arrays)
+            adam_step(arrays, grads.arrays(), state, config.adam)
             total += loss * len(batch)
         epoch_losses.append(total / n)
     return params, epoch_losses
 
 
+def _available_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _single_blas_thread_pool(workers: int):
+    """Spawn-context pool whose workers each run one BLAS thread.
+
+    Spawned workers read the environment when they start, and `Pool()`
+    starts all of them in its constructor, so the BLAS thread variables
+    are set only around that call and this process's values come back.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        return multiprocessing.get_context("spawn").Pool(workers)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def train_ensemble(train: LabeledSet, config: TrainConfig | None = None) -> EnsemblePredictor:
-    """Trains every member independently from seeds derived off config.seed."""
+    """Trains every member independently from seeds derived off config.seed.
+
+    Members train side by side in min(available cores, ensemble_size)
+    spawned worker processes, or in this process when that is one.  Each
+    member's result depends only on its seed, so the parameters are
+    bit-identical either way.  A member that diverges raises its
+    TrainingDivergedError here; when several do, the lowest-numbered one.
+    """
     config = config or TrainConfig()
     if len(train) == 0:
         raise ValueError("empty training set")
     if config.ensemble_size < 1 or config.epochs < 1 or config.batch_size < 1:
         raise ValueError("ensemble_size, epochs and batch_size must be positive")
-    members: list[MlpParams] = []
-    history: list[tuple[float, ...]] = []
-    for j in range(config.ensemble_size):
-        params, losses = _train_member(train, config, j)
-        members.append(params)
-        history.append(tuple(losses))
-    return EnsemblePredictor(tuple(members), config, tuple(history))
+    train_one = partial(_train_member, train, config)
+    members = range(config.ensemble_size)
+    workers = min(_available_cores(), config.ensemble_size)
+    if workers == 1:
+        results = [train_one(j) for j in members]
+    else:
+        with _single_blas_thread_pool(workers) as pool:
+            # imap yields in member order, so an error surfaces at the lowest failing member
+            results = list(pool.imap(train_one, members))
+    params, history = zip(*results)
+    return EnsemblePredictor(params, config, tuple(tuple(losses) for losses in history))
 
 
 # ----------------------------------------------------------------- persistence

@@ -73,6 +73,9 @@ def test_usage_errors_exit_1(tmp_path, capsys) -> None:
     ["eval", "--dataset", "multimodal", "--thresholds", "1"],
     ["density-grid", "--dataset", "multimodal", "--nx", "0"],
     ["density-grid", "--dataset", "multimodal", "--ny", "0"],
+    ["density-grid", "--dataset", "homoscedastic", "--x-min", "-5", "--nx", "3", "--ny", "3"],
+    ["density-grid", "--dataset", "homoscedastic", "--x-max", "1.5", "--nx", "3", "--ny", "3"],
+    ["density-grid", "--dataset", "homoscedastic", "--x-min", "nan", "--nx", "3", "--ny", "3"],
 ])
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv) -> None:
     assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 1
@@ -189,6 +192,13 @@ def test_sparsify_and_density_grid(tmp_path, model_path) -> None:
     assert len(lines) == 7
     xs = [float(l.split(",")[0]) for l in lines[1:]]
     assert xs[0] == -1.0 and xs[-1] == 1.0  # defaults to the dataset domain
+
+    # the network is defined everywhere, so only the oracle is held to the domain
+    code = run(["density-grid", "--dataset", "homoscedastic", "--x-min", "-5", "--nx", "3",
+                "--ny", "2", "--out", str(grid), "--predictor", "ensemble",
+                "--model-path", str(model_path)])
+    assert code == 0
+    assert grid.read_text(encoding="utf-8").split("\n")[1].startswith("-5.0,")
 
     assert run(["density-grid", "--dataset", "homoscedastic", "--nx", "0",
                 "--out", str(grid)]) == 1

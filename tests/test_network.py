@@ -44,10 +44,10 @@ def test_init_is_seeded() -> None:
 
 def test_parameter_shape_validation() -> None:
     params = init_params(make_rng(0))
-    bad = [a.copy() for a in params.arrays()]
-    bad[0] = bad[0][:, :10]
+    weights = [w.copy() for w in params.weights]
+    weights[0] = weights[0][:, :10]
     with pytest.raises(ValueError):
-        MlpParams.from_arrays(bad)
+        MlpParams(weights, [b.copy() for b in params.biases])
 
 
 def test_forward_returns_gaussian_with_shifted_variance() -> None:
@@ -155,11 +155,47 @@ def test_backprop_matches_finite_differences() -> None:
         assert abs(analytic - fd) / denom < 1e-4
 
 
+def allocating_adam_step(arrays, grads, state, config):
+    """The allocating update the in-place `adam_step` replaced, kept as its reference."""
+    t = state.step + 1
+    new_arrays, new_m, new_v = [], [], []
+    for a, g, m, v in zip(arrays, grads, state.m, state.v):
+        m = config.beta1 * m + (1.0 - config.beta1) * g
+        v = config.beta2 * v + (1.0 - config.beta2) * g * g
+        m_hat = m / (1.0 - config.beta1**t)
+        v_hat = v / (1.0 - config.beta2**t)
+        new_arrays.append(a - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps))
+        new_m.append(m)
+        new_v.append(v)
+    return new_arrays, AdamState(step=t, m=new_m, v=new_v)
+
+
+@pytest.mark.parametrize("config", [AdamConfig(), AdamConfig(0.01, 0.8, 0.99, 1e-6)])
+def test_in_place_adam_is_bit_identical_to_allocating_adam(config) -> None:
+    rng = np.random.default_rng(4)
+    arrays = init_params(make_rng(4)).arrays()
+    ref = [a.copy() for a in arrays]
+    state = AdamState.zeros_like(arrays)
+    ref_state = AdamState.zeros_like(ref)
+    for _ in range(50):
+        # gradients over several decades, some exactly zero
+        grads = [rng.normal(size=a.shape) * 10.0 ** rng.integers(-8, 3, size=a.shape)
+                 * (rng.random(a.shape) > 0.05) for a in arrays]
+        kept = [g.copy() for g in grads]
+        adam_step(arrays, grads, state, config)
+        ref, ref_state = allocating_adam_step(ref, grads, ref_state, config)
+        assert all(g.tobytes() == k.tobytes() for g, k in zip(grads, kept))  # grads are read only
+    assert state.step == ref_state.step == 50
+    for got, want in zip(arrays + state.m + state.v, ref + ref_state.m + ref_state.v):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_adam_first_step_magnitude() -> None:
     cfg = AdamConfig()
-    state = AdamState.zeros_like([np.array([0.0])])
-    new, state = adam_step([np.array([0.0])], [np.array([1.0])], state, cfg)
-    assert abs(new[0][0] + cfg.learning_rate) < 1e-8
+    arr = [np.array([0.0])]
+    state = AdamState.zeros_like(arr)
+    adam_step(arr, [np.array([1.0])], state, cfg)
+    assert abs(arr[0][0] + cfg.learning_rate) < 1e-8
     assert state.step == 1
 
 
@@ -167,18 +203,21 @@ def test_adam_zero_gradient_keeps_parameters() -> None:
     cfg = AdamConfig()
     arr = [np.array([1.5, -2.0])]
     state = AdamState.zeros_like(arr)
-    new, _ = adam_step(arr, [np.zeros(2)], state, cfg)
-    assert np.array_equal(new[0], arr[0])
+    adam_step(arr, [np.zeros(2)], state, cfg)
+    assert np.array_equal(arr[0], [1.5, -2.0])
 
 
 def test_adam_is_deterministic() -> None:
     cfg = AdamConfig()
-    arr = [np.array([0.3]), np.array([[1.0, 2.0]])]
     grads = [np.array([0.1]), np.array([[0.2, -0.3]])]
-    s0 = AdamState.zeros_like(arr)
-    a1, s1 = adam_step(arr, grads, s0, cfg)
-    b1, t1 = adam_step(arr, grads, AdamState.zeros_like(arr), cfg)
+    runs = []
+    for _ in range(2):
+        arr = [np.array([0.3]), np.array([[1.0, 2.0]])]
+        state = AdamState.zeros_like(arr)
+        adam_step(arr, grads, state, cfg)
+        first = [a.copy() for a in arr]
+        adam_step(arr, grads, state, cfg)
+        runs.append((first, arr))
+    (a1, a2), (b1, b2) = runs
     assert all(np.array_equal(x, y) for x, y in zip(a1, b1))
-    a2, _ = adam_step(a1, grads, s1, cfg)
-    b2, _ = adam_step(b1, grads, t1, cfg)
     assert all(np.array_equal(x, y) for x, y in zip(a2, b2))

@@ -1,4 +1,6 @@
 import math
+import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from uqeval.datasets import DatasetKind, DomainError, LabeledSet, Split, generate
 from uqeval.distributions import Gaussian, GaussianMixture, VARIANCE_FLOOR
 from uqeval.metrics import nll
+from uqeval import predictors
 from uqeval.network import forward
 from uqeval.predictors import (
     ENSEMBLE_FORMAT,
@@ -16,6 +19,7 @@ from uqeval.predictors import (
     TrainConfig,
     TrainingDivergedError,
     TrueDistributionPredictor,
+    _train_member,
     load_ensemble,
     log_density_grid,
     make_records,
@@ -240,12 +244,45 @@ def test_training_loss_decreases(kind) -> None:
     assert history[-1] < history[0]
 
 
-def test_training_diverges_loudly_on_pathological_targets() -> None:
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_pooled_training_is_bit_identical_to_in_process(monkeypatch, cores) -> None:
+    # cores=3 forces the worker pool even on a one-core machine
+    monkeypatch.setattr(predictors, "_available_cores", lambda: cores)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    env = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    train = small_train_set()
+    config = TrainConfig(ensemble_size=3, epochs=2, batch_size=64)
+    de = train_ensemble(train, config)
+    assert {name: os.environ.get(name) for name in BLAS_THREAD_VARS} == env
+    assert len(de.members) == len(de.history) == 3
+    for j, (params, history) in enumerate(zip(de.members, de.history)):
+        ref_params, ref_history = _train_member(train, config, j)
+        for got, want in zip(params.arrays(), ref_params.arrays()):
+            assert got.tobytes() == want.tobytes()
+        assert history == tuple(ref_history)
+
+
+def test_training_diverged_error_survives_pickling() -> None:
+    err = pickle.loads(pickle.dumps(TrainingDivergedError(1, 2, 3)))
+    assert isinstance(err, TrainingDivergedError)
+    assert (err.member, err.epoch, err.batch) == (1, 2, 3)
+    assert str(err) == "non-finite loss: member 1, epoch 2, batch 3"
+
+
+@pytest.mark.parametrize("ensemble_size", [1, 2])
+def test_training_diverges_loudly_on_pathological_targets(monkeypatch, ensemble_size) -> None:
+    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
     xs = np.linspace(0.0, 1.0, 64)
     ys = np.full(64, 1e200)  # finite but squares to overflow
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError) as err:
-            train_ensemble(LabeledSet(xs, ys), TrainConfig(ensemble_size=1, epochs=1))
+            train_ensemble(LabeledSet(xs, ys), TrainConfig(ensemble_size=ensemble_size, epochs=1))
+    # every member diverges; the pool reports the lowest-numbered one, as in-process training does
     assert err.value.member == 0
     assert err.value.epoch == 0
 
