@@ -302,11 +302,8 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            parser.error("a command is required")
-        try:
-            _COMMANDS[args.command](args, argv)
-        except UsageError as exc:  # a check across flags, reported like argparse's own
-            raise UsageError(f"{parser.format_usage()}{exc}") from None
+            raise UsageError(f"{parser.format_usage()}error: a command is required")
+        _COMMANDS[args.command](args, argv)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

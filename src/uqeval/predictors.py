@@ -10,7 +10,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import threading
 import zipfile
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -153,23 +156,36 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _single_blas_thread_pool(workers: int):
-    """Spawn-context pool whose workers each run one BLAS thread.
-
-    Spawned workers read the environment when they start, and `Pool()`
-    starts all of them in its constructor, so the BLAS thread variables
-    are set only around that call and this process's values come back.
-    """
+@contextmanager
+def _single_blas_thread_env():
+    """Sets the BLAS thread variables to 1, then restores this process's values."""
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        return multiprocessing.get_context("spawn").Pool(workers)
+        yield
     finally:
         for name, value in saved.items():
             if value is None:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
+
+
+def _exit_with_parent() -> None:
+    """Pool worker initializer: the worker ends as soon as its parent does.
+
+    A spawned worker holds both ends of the executor's pipes, so a parent
+    killed by a signal would otherwise leave it training, or blocked on a
+    pipe, for good.  `parent_process().join()` waits on a pipe that only
+    the parent holds open, so it returns however the parent ends.
+    """
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 def train_ensemble(train: LabeledSet, config: TrainConfig | None = None) -> EnsemblePredictor:
@@ -180,6 +196,7 @@ def train_ensemble(train: LabeledSet, config: TrainConfig | None = None) -> Ense
     member's result depends only on its seed, so the parameters are
     bit-identical either way.  A member that diverges raises its
     TrainingDivergedError here; when several do, the lowest-numbered one.
+    A worker process that dies raises BrokenProcessPool.
     """
     config = config or TrainConfig()
     if len(train) == 0:
@@ -192,9 +209,16 @@ def train_ensemble(train: LabeledSet, config: TrainConfig | None = None) -> Ense
     if workers == 1:
         results = [train_one(j) for j in members]
     else:
-        with _single_blas_thread_pool(workers) as pool:
-            # imap yields in member order, so an error surfaces at the lowest failing member
-            results = list(pool.imap(train_one, members))
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_exit_with_parent) as pool:
+            # spawned workers read the environment when they start: while map submits
+            with _single_blas_thread_env():
+                ordered = pool.map(train_one, members)
+                # the executor starts watching a new worker for death when a submit
+                # wakes it, so a no-op follows the submit that may have started one
+                pool.submit(int)
+            # in member order, so an error surfaces at the lowest failing member
+            results = list(ordered)
     params, history = zip(*results)
     return EnsemblePredictor(params, config, tuple(tuple(losses) for losses in history))
 

@@ -73,13 +73,18 @@ def test_usage_errors_exit_1(tmp_path, capsys) -> None:
     ["eval", "--dataset", "multimodal", "--thresholds", "1"],
     ["density-grid", "--dataset", "multimodal", "--nx", "0"],
     ["density-grid", "--dataset", "multimodal", "--ny", "0"],
-    ["density-grid", "--dataset", "homoscedastic", "--x-min", "-5", "--nx", "3", "--ny", "3"],
-    ["density-grid", "--dataset", "homoscedastic", "--x-max", "1.5", "--nx", "3", "--ny", "3"],
-    ["density-grid", "--dataset", "homoscedastic", "--x-min", "nan", "--nx", "3", "--ny", "3"],
 ])
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv) -> None:
     assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     assert "usage" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bounds", [["--x-min", "-5"], ["--x-max", "1.5"], ["--x-min", "nan"]])
+def test_oracle_density_grid_outside_the_domain_is_a_usage_error(tmp_path, capsys, bounds) -> None:
+    argv = ["density-grid", "--dataset", "homoscedastic", "--nx", "3", "--ny", "3", *bounds]
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert "oracle is defined on [-1.0, 1.0] only" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,7 +1,12 @@
 import math
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +290,87 @@ def test_training_diverges_loudly_on_pathological_targets(monkeypatch, ensemble_
     # every member diverges; the pool reports the lowest-numbered one, as in-process training does
     assert err.value.member == 0
     assert err.value.epoch == 0
+
+
+# A script that trains two members in two spawned workers, long enough to
+# be killed mid-training, and prints the workers' pids once they exist.
+# With "kill-worker" it kills one worker itself, a second after it starts.
+POOLED_TRAINING = """
+import multiprocessing, os, signal, sys, threading, time
+import numpy as np
+from uqeval import predictors
+from uqeval.datasets import LabeledSet
+
+def workers():
+    while len(multiprocessing.active_children()) < 2:
+        time.sleep(0.05)
+    pids = [p.pid for p in multiprocessing.active_children()]
+    print(*pids, flush=True)
+    return pids
+
+def kill_one_worker():
+    pid = workers()[0]
+    time.sleep(1.0)
+    os.kill(pid, signal.SIGKILL)
+
+predictors._available_cores = lambda: 2
+watch = kill_one_worker if sys.argv[1] == "kill-worker" else workers
+threading.Thread(target=watch, daemon=True).start()
+xs = np.linspace(-1.0, 1.0, 4096)
+config = predictors.TrainConfig(ensemble_size=2, epochs=1000)  # minutes per member
+try:
+    predictors.train_ensemble(LabeledSet(xs, np.cos(xs)), config)
+except Exception as exc:
+    print(type(exc).__name__, flush=True)
+"""
+
+
+def _pooled_training(mode: str) -> subprocess.Popen:
+    paths = [str(Path(predictors.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.Popen([sys.executable, "-c", POOLED_TRAINING, mode],
+                            stdout=subprocess.PIPE, text=True, env=env)
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # an unreaped zombie has ended
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_pool_workers_exit_when_the_parent_is_killed() -> None:
+    proc = _pooled_training("kill-parent")
+    pids = [int(pid) for pid in proc.stdout.readline().split()]
+    try:
+        assert len(pids) == 2
+        time.sleep(2.0)  # both workers are training by now
+        assert all(_running(pid) for pid in pids)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_running(pid) for pid in pids)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_a_killed_pool_worker_raises_instead_of_hanging() -> None:
+    # as an out-of-memory kill would: the caller gets an error, not a wait for ever
+    proc = _pooled_training("kill-worker")
+    try:
+        out, _ = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert out.split()[-1] == "BrokenProcessPool"
 
 
 def test_train_config_validation() -> None:
