@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -275,6 +276,11 @@ def _cmd_density_grid(args, argv) -> None:
     if args.predictor == "oracle" and not (lo <= x_min and x_max <= hi):
         raise UsageError(f"error: the {kind.value} oracle is defined on [{lo}, {hi}] only, "
                          f"got --x-min {x_min} --x-max {x_max}")
+    bounds = {"--x-min": x_min, "--x-max": x_max, "--y-min": args.y_min, "--y-max": args.y_max}
+    not_finite = " ".join(f"{flag} {value}" for flag, value in bounds.items()
+                          if not math.isfinite(value))
+    if not_finite:
+        raise UsageError(f"error: density grid bounds must be finite, got {not_finite}")
     if x_min >= x_max or args.y_min >= args.y_max:
         raise UsageError("error: empty density grid")
     xs = np.linspace(x_min, x_max, args.nx)

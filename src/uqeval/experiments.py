@@ -21,12 +21,13 @@ import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .datasets import CSV_BLOCK_ROWS, DatasetKind, Split, csv_chunks, csv_rows, generate
 from .metrics import EvalConfig, MetricReport, evaluate, sparsification_curve
-from .predictors import log_density_grid, make_records
+from .predictors import log_density_grid, make_records, map_on_cores
 from .seeds import TAG_REPLICATE, TAG_SUBSET, derive_seed, make_rng
 
 SIZES = tuple(2**k for k in range(3, 17))
@@ -73,6 +74,16 @@ def convergence_experiment(
     return StabilityResult(tuple(rows))
 
 
+def _bias_replicate(predictor, kind, base_seed, eval_config, sizes, rep) -> list[MetricReport]:
+    """Replicate `rep`'s report at every size, each on its own seeded test set."""
+    reports = []
+    for size_ix, size in enumerate(sizes):
+        seed = derive_seed(base_seed, TAG_REPLICATE, size_ix, rep)
+        data = generate(kind, Split.TEST, size, seed)
+        reports.append(evaluate(make_records(predictor, data), eval_config))
+    return reports
+
+
 def bias_experiment(
     predictor,
     kind: DatasetKind = DatasetKind.HETEROSCEDASTIC,
@@ -81,15 +92,19 @@ def bias_experiment(
     eval_config: EvalConfig | None = None,
     sizes: tuple[int, ...] = SIZES,
 ) -> StabilityResult:
+    """Per-size means over `replicates` independent test sets.
+
+    Replicates are scored side by side through `map_on_cores`, one task
+    each; every test set has its own seed, so the means are bit-identical
+    to scoring them one after another.
+    """
     if replicates < 1:
         raise ValueError("replicates must be positive")
+    score = partial(_bias_replicate, predictor, kind, base_seed, eval_config, sizes)
+    per_rep = map_on_cores(score, range(replicates))
     rows = []
     for size_ix, size in enumerate(sizes):
-        reports = []
-        for rep in range(replicates):
-            seed = derive_seed(base_seed, TAG_REPLICATE, size_ix, rep)
-            data = generate(kind, Split.TEST, size, seed)
-            reports.append(evaluate(make_records(predictor, data), eval_config))
+        reports = [rep_reports[size_ix] for rep_reports in per_rep]  # in replicate order
         mean = MetricReport(
             ause=float(np.mean([r.ause for r in reports])),
             ce=float(np.mean([r.ce for r in reports])),

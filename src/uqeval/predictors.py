@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import threading
+import warnings
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -188,37 +189,67 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
+def _call_recording_warnings(fn, np_errors: dict, item):
+    """Runs fn(item) in a pool worker under the caller's numpy error state.
+
+    Returns the result and every warning the call issued as (text,
+    category) pairs, so the caller's own warning filters decide which of
+    them to show.
+    """
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**np_errors):
+        warnings.simplefilter("always")
+        result = fn(item)
+    return result, [(str(w.message), w.category) for w in caught]
+
+
+def map_on_cores(fn, items) -> list:
+    """[fn(item) for item in items], with the calls spread over the available cores.
+
+    The calls run in min(available cores, len(items)) spawned worker
+    processes, or in this process when that is one.  `fn` and the items
+    must pickle, and each call's result may depend only on its item, so
+    the results are the same either way; they come back in item order.
+    Each worker runs one BLAS thread.  Warnings a worker's call issues
+    are issued again here, as its result arrives.  A call that raises
+    raises here; when several do, the first in item order.  A worker
+    process that dies raises BrokenProcessPool.
+    """
+    items = list(items)
+    workers = min(_available_cores(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    spawn = multiprocessing.get_context("spawn")
+    call = partial(_call_recording_warnings, fn, np.geterr())
+    with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_exit_with_parent) as pool:
+        # spawned workers read the environment when they start: while map submits
+        with _single_blas_thread_env():
+            ordered = pool.map(call, items)
+            # the executor starts watching a new worker for death when a submit
+            # wakes it, so a no-op follows the submit that may have started one
+            pool.submit(int)
+        results = []
+        for result, caught in ordered:
+            for message, category in caught:
+                warnings.warn(message, category)
+            results.append(result)
+    return results
+
+
 def train_ensemble(train: LabeledSet, config: TrainConfig | None = None) -> EnsemblePredictor:
     """Trains every member independently from seeds derived off config.seed.
 
-    Members train side by side in min(available cores, ensemble_size)
-    spawned worker processes, or in this process when that is one.  Each
-    member's result depends only on its seed, so the parameters are
-    bit-identical either way.  A member that diverges raises its
-    TrainingDivergedError here; when several do, the lowest-numbered one.
-    A worker process that dies raises BrokenProcessPool.
+    Members train side by side through `map_on_cores`.  Each member's
+    result depends only on its seed, so the parameters are bit-identical
+    to training them one after another.  A member that diverges raises
+    its TrainingDivergedError here; when several do, the lowest-numbered
+    one.
     """
     config = config or TrainConfig()
     if len(train) == 0:
         raise ValueError("empty training set")
     if config.ensemble_size < 1 or config.epochs < 1 or config.batch_size < 1:
         raise ValueError("ensemble_size, epochs and batch_size must be positive")
-    train_one = partial(_train_member, train, config)
-    members = range(config.ensemble_size)
-    workers = min(_available_cores(), config.ensemble_size)
-    if workers == 1:
-        results = [train_one(j) for j in members]
-    else:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_exit_with_parent) as pool:
-            # spawned workers read the environment when they start: while map submits
-            with _single_blas_thread_env():
-                ordered = pool.map(train_one, members)
-                # the executor starts watching a new worker for death when a submit
-                # wakes it, so a no-op follows the submit that may have started one
-                pool.submit(int)
-            # in member order, so an error surfaces at the lowest failing member
-            results = list(ordered)
+    results = map_on_cores(partial(_train_member, train, config), range(config.ensemble_size))
     params, history = zip(*results)
     return EnsemblePredictor(params, config, tuple(tuple(losses) for losses in history))
 

@@ -88,6 +88,21 @@ def test_oracle_density_grid_outside_the_domain_is_a_usage_error(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("predictor", ["oracle", "ensemble"])
+@pytest.mark.parametrize("flag, value", [("--x-min", "nan"), ("--x-max", "inf"), ("--y-min", "nan"),
+                                         ("--y-max", "inf"), ("--y-min", "-inf")])
+def test_non_finite_density_grid_bounds_are_usage_errors(tmp_path, capsys, model_path,
+                                                         predictor, flag, value) -> None:
+    argv = ["density-grid", "--dataset", "multimodal", "--nx", "2", "--ny", "2", f"{flag}={value}",
+            "--predictor", predictor, "--model-path", str(model_path),
+            "--out", str(tmp_path / "g.csv")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    if not (predictor == "oracle" and flag.startswith("--x")):  # outside the oracle's domain
+        assert f"density grid bounds must be finite, got {flag} {value}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_accepts_zero_rows(tmp_path) -> None:
     out = tmp_path / "empty.csv"
     assert run(["generate", "--dataset", "multimodal", "--n", "0", "--out", str(out)]) == 0
@@ -315,19 +330,31 @@ def test_eval_rejects_truncated_model_file(tmp_path, model_path, capsys) -> None
     assert f"error: model file {bad}: not a readable .npz archive" in capsys.readouterr().err
 
 
-def _python_m(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str) -> subprocess.CompletedProcess:
     paths = [str(Path(uqeval.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
-        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
 
 
 @pytest.mark.parametrize("module", ["uqeval", "uqeval.cli"])
 def test_python_m_runs_the_cli(module) -> None:
-    done = _python_m(module, "eval", "--dataset", "homoscedastic", "--n", "16")
+    done = _python("-m", module, "eval", "--dataset", "homoscedastic", "--n", "16")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == REPORT_HEADER
-    missing = _python_m(module)
+    missing = _python("-m", module)
     assert missing.returncode == 1
     assert "a command is required" in missing.stderr
+
+
+def test_pooled_bias_prints_an_undefined_metric_warning_once(tmp_path) -> None:
+    # two workers even on a one-core machine; each meets the undefined Spearman
+    script = ("from uqeval import cli, predictors; "
+              "predictors._available_cores = lambda: 2; cli.main()")
+    out = tmp_path / "bias.csv"
+    done = _python("-c", script, "bias", "--dataset", "homoscedastic", "--replicates", "2",
+                     "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("spearman undefined") == 1
+    assert out.exists()

@@ -1,11 +1,21 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
-from uqeval.metrics import EvalConfig, evaluate, sparsification_curve
+from uqeval import predictors
+from uqeval.metrics import (
+    CalibrationConfig,
+    EvalConfig,
+    MetricReport,
+    RankTieMode,
+    WeightMode,
+    evaluate,
+    sparsification_curve,
+)
 from uqeval.experiments import (
     SIZES,
     StabilityResult,
@@ -18,7 +28,13 @@ from uqeval.experiments import (
     sha256_file,
     sparsification_csv,
 )
-from uqeval.predictors import TrueDistributionPredictor, log_density_grid, make_records
+from uqeval.predictors import (
+    TrainConfig,
+    TrueDistributionPredictor,
+    log_density_grid,
+    make_records,
+    train_ensemble,
+)
 from uqeval.seeds import TAG_REPLICATE, derive_seed
 
 ORACLE_HET = TrueDistributionPredictor(DatasetKind.HETEROSCEDASTIC)
@@ -105,6 +121,78 @@ def test_bias_replicates_average_and_determinism() -> None:
     assert a.rows[0].report.nll != single.rows[0].report.nll
     with pytest.raises(ValueError):
         bias_experiment(ORACLE_HET, replicates=0, sizes=sizes)
+
+
+def serial_bias_experiment(predictor, kind, base_seed, replicates, eval_config, sizes):
+    """Reference: every test set scored in this process, size by size."""
+    rows = []
+    for size_ix, size in enumerate(sizes):
+        reports = []
+        for rep in range(replicates):
+            seed = derive_seed(base_seed, TAG_REPLICATE, size_ix, rep)
+            data = generate(kind, Split.TEST, size, seed)
+            reports.append(evaluate(make_records(predictor, data), eval_config))
+        mean = MetricReport(
+            ause=float(np.mean([r.ause for r in reports])),
+            ce=float(np.mean([r.ce for r in reports])),
+            spearman=float(np.mean([r.spearman for r in reports])),
+            nll=float(np.mean([r.nll for r in reports])),
+        )
+        rows.append(StabilityRow(size, mean))
+    return StabilityResult(tuple(rows))
+
+
+def _tiny_ensemble():
+    train = generate(DatasetKind.HETEROSCEDASTIC, Split.TRAIN, 256, 0)
+    return train_ensemble(train, TrainConfig(ensemble_size=2, epochs=1))
+
+
+BIAS_CASES = {
+    "oracle-uniform-average-7": lambda: (ORACLE_HET, 4, (8, 64), EvalConfig(
+        calibration=CalibrationConfig(thresholds=np.linspace(0.0, 1.0, 7),
+                                      weight_mode=WeightMode.UNIFORM),
+        rank_tie_mode=RankTieMode.AVERAGE)),
+    "tiny-ensemble": lambda: (_tiny_ensemble(), 3, (8, 64), None),
+    "three-replicates": lambda: (ORACLE_HET, 3, (8, 64, 4097), None),
+}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("case", sorted(BIAS_CASES))
+@pytest.mark.parametrize("cores", [1, 3])
+def test_pooled_bias_is_bit_identical_to_in_process(monkeypatch, cores, case) -> None:
+    predictor, replicates, sizes, eval_config = BIAS_CASES[case]()
+    # cores=3 forces the worker pool even on a one-core machine
+    monkeypatch.setattr(predictors, "_available_cores", lambda: cores)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    env = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    kind = DatasetKind.HETEROSCEDASTIC
+    result = bias_experiment(predictor, kind, 3, replicates, eval_config, sizes)
+    assert {name: os.environ.get(name) for name in BLAS_THREAD_VARS} == env
+    expected = serial_bias_experiment(predictor, kind, 3, replicates, eval_config, sizes)
+    assert result == expected
+    assert result.to_csv(mean_prefix=True) == expected.to_csv(mean_prefix=True)
+
+
+@pytest.mark.parametrize("cores, replicates", [(4, 1), (1, 3)])
+def test_bias_without_a_second_task_or_core_stays_in_process(monkeypatch, cores, replicates) -> None:
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(predictors, "_available_cores", lambda: cores)
+    monkeypatch.setattr(predictors, "ProcessPoolExecutor", no_pool)
+    result = bias_experiment(ORACLE_HET, base_seed=2, replicates=replicates, sizes=(8, 16))
+    assert result == serial_bias_experiment(
+        ORACLE_HET, DatasetKind.HETEROSCEDASTIC, 2, replicates, None, (8, 16))
+
+
+def test_pooled_bias_warns_in_the_caller(monkeypatch) -> None:
+    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
+    with pytest.warns(RuntimeWarning, match="spearman undefined"):
+        result = bias_experiment(ORACLE_HOMO, DatasetKind.HOMOSCEDASTIC, replicates=2, sizes=(8, 16))
+    assert all(math.isnan(row.report.spearman) for row in result.rows)
 
 
 def test_sparsification_csv_layout() -> None:

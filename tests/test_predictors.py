@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from uqeval.predictors import (
     load_ensemble,
     log_density_grid,
     make_records,
+    map_on_cores,
     save_ensemble,
     train_ensemble,
 )
@@ -270,6 +272,38 @@ def test_pooled_training_is_bit_identical_to_in_process(monkeypatch, cores) -> N
         for got, want in zip(params.arrays(), ref_params.arrays()):
             assert got.tobytes() == want.tobytes()
         assert history == tuple(ref_history)
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_map_on_cores_returns_results_in_item_order(monkeypatch, cores) -> None:
+    monkeypatch.setattr(predictors, "_available_cores", lambda: cores)
+    items = [3.0, -1.5, 0.25, 7.0, 2.0]
+    assert map_on_cores(abs, items) == [abs(x) for x in items]
+    assert map_on_cores(abs, []) == []
+
+
+def test_map_on_cores_issues_worker_warnings_in_the_caller(monkeypatch) -> None:
+    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert map_on_cores(warnings.warn, ["first", "second", "third"]) == [None] * 3
+    assert [(str(w.message), w.category) for w in caught] == [
+        ("first", UserWarning), ("second", UserWarning), ("third", UserWarning)]
+    # the caller's filters apply to them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="first"):
+            map_on_cores(warnings.warn, ["first", "second"])
+
+
+def test_map_on_cores_calls_run_under_the_callers_numpy_error_state(monkeypatch) -> None:
+    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        assert map_on_cores(np.exp, [1000.0, 0.0]) == [np.inf, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            assert map_on_cores(np.exp, [1000.0, 0.0]) == [np.inf, 1.0]
 
 
 def test_training_diverged_error_survives_pickling() -> None:
