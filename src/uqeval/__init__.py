@@ -16,7 +16,6 @@ from .datasets import (
 )
 from .distributions import Gaussian, GaussianMixture, moment_match, VARIANCE_FLOOR
 from .metrics import (
-    CalibrationConfig,
     EvalConfig,
     EvaluationRecords,
     MetricReport,

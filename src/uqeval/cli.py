@@ -13,13 +13,14 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 from collections.abc import Iterable
 
 import numpy as np
 
 from .datasets import DatasetKind, Split, dataset_csv, generate
-from .metrics import CalibrationConfig, EvalConfig, RankTieMode, REPORT_HEADER, WeightMode, evaluate
+from .metrics import EvalConfig, RankTieMode, REPORT_HEADER, WeightMode, evaluate
 from .experiments import (
     bias_experiment,
     convergence_experiment,
@@ -46,6 +47,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes "-1" and "-0.001" for numbers but "-1e-3" for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(f"{self.format_usage()}error: {message}")
 
@@ -72,6 +78,10 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
                         default=WeightMode.PAPER.value, help="calibration weighting")
     parser.add_argument("--tie-mode", choices=[m.value for m in RankTieMode],
                         default=RankTieMode.PAPER.value, help="rank tie handling")
+
+
+_DEFAULT_CONVENTIONS = ("Scored with eval's default conventions: 100 thresholds, "
+                        "paper weights, paper rank ties.")
 
 
 def _add_predictor_flags(parser: argparse.ArgumentParser) -> None:
@@ -106,20 +116,23 @@ def build_parser() -> _Parser:
     _add_predictor_flags(p)
     _add_eval_flags(p)
 
-    p = sub.add_parser("stability", help="convergence study on nested test subsets")
+    p = sub.add_parser("stability", help="convergence study on nested test subsets",
+                       description=_DEFAULT_CONVENTIONS)
     p.add_argument("--dataset", choices=kinds, default=DatasetKind.HETEROSCEDASTIC.value)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_predictor_flags(p)
 
-    p = sub.add_parser("bias", help="replicate-mean study across test set sizes")
+    p = sub.add_parser("bias", help="replicate-mean study across test set sizes",
+                       description=_DEFAULT_CONVENTIONS)
     p.add_argument("--dataset", choices=kinds, default=DatasetKind.HETEROSCEDASTIC.value)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replicates", type=_int_at_least(1), default=100)
     p.add_argument("--out", required=True)
     _add_predictor_flags(p)
 
-    p = sub.add_parser("sparsify", help="write sparsification curve CSV")
+    p = sub.add_parser("sparsify", help="write sparsification curve CSV",
+                       description="The curves use none of eval's scoring conventions.")
     p.add_argument("--dataset", choices=kinds, required=True)
     p.add_argument("--n", type=_int_at_least(1), default=DEFAULT_TEST_N)
     p.add_argument("--seed", type=int, default=0)
@@ -154,13 +167,8 @@ def _predictor(args) -> tuple[object, dict]:
 
 
 def _eval_config(args) -> EvalConfig:
-    return EvalConfig(
-        calibration=CalibrationConfig(
-            thresholds=np.linspace(0.0, 1.0, args.thresholds),
-            weight_mode=WeightMode(args.weights),
-        ),
-        rank_tie_mode=RankTieMode(args.tie_mode),
-    )
+    return EvalConfig(np.linspace(0.0, 1.0, args.thresholds), WeightMode(args.weights),
+                      RankTieMode(args.tie_mode))
 
 
 def _replace_atomically(path: str, write) -> None:
@@ -283,6 +291,9 @@ def _cmd_density_grid(args, argv) -> None:
         raise UsageError(f"error: density grid bounds must be finite, got {not_finite}")
     if x_min >= x_max or args.y_min >= args.y_max:
         raise UsageError("error: empty density grid")
+    if not (math.isfinite(x_max - x_min) and math.isfinite(args.y_max - args.y_min)):
+        raise UsageError(f"error: density grid span overflows, got --x-min {x_min} --x-max {x_max} "
+                         f"--y-min {args.y_min} --y-max {args.y_max}")
     xs = np.linspace(x_min, x_max, args.nx)
     ys = np.linspace(args.y_min, args.y_max, args.ny)
     chunks = density_grid_csv(predictor, xs, ys)

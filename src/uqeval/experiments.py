@@ -117,18 +117,10 @@ def bias_experiment(
 
 # ----------------------------------------------------------------- artifact CSVs
 
-def sparsification_csv(
-    predictor,
-    kind: DatasetKind,
-    base_seed: int = 0,
-    n: int = 2**16,
-    eval_config: EvalConfig | None = None,
-) -> Iterator[str]:
+def sparsification_csv(predictor, kind: DatasetKind, base_seed: int, n: int) -> Iterator[str]:
     """Scores the test set now; the returned chunks format the curve lazily."""
-    eval_config = eval_config or EvalConfig()
     data = generate(kind, Split.TEST, n, base_seed)
-    records = make_records(predictor, data)
-    curve = sparsification_curve(records, eval_config.sparsification_grid, eval_config.tie_seed)
+    curve = sparsification_curve(make_records(predictor, data))
     return csv_chunks("fraction,oracle,sparsification",
                       curve.fractions, curve.by_oracle, curve.by_uncertainty)
 

@@ -172,30 +172,9 @@ class WeightMode(enum.Enum):
     UNIFORM = "uniform"
 
 
-def _default_thresholds() -> np.ndarray:
-    return np.linspace(0.0, 1.0, 100)
-
-
-@dataclass(frozen=True, eq=False)
-class CalibrationConfig:
-    thresholds: np.ndarray = field(default_factory=_default_thresholds)
-    weight_mode: WeightMode = WeightMode.PAPER
-
-    def __post_init__(self):
-        t = np.asarray(self.thresholds, dtype=np.float64)
-        if t.ndim != 1 or len(t) == 0:
-            raise ValueError("thresholds must be a nonempty 1-D array")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("thresholds must be strictly increasing")
-        if t[0] < 0.0 or t[-1] > 1.0:
-            raise ValueError("thresholds must lie in [0, 1]")
-        t.flags.writeable = False
-        object.__setattr__(self, "thresholds", t)
-
-
-def calibration_error(pits: np.ndarray, config: CalibrationConfig | None = None) -> float:
+def calibration_error(pits: np.ndarray, config: EvalConfig | None = None) -> float:
     """Weighted squared deviation between nominal and observed coverage."""
-    config = config or CalibrationConfig()
+    config = config or EvalConfig()
     pits = np.asarray(pits, dtype=np.float64)
     if pits.size == 0:
         raise ValueError("empty pits")
@@ -279,12 +258,24 @@ def nll(records: EvaluationRecords) -> float:
     return float(-np.mean(records.log_densities))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalConfig:
-    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
+    """Scoring conventions: CE thresholds and weighting, Spearman tie ranks."""
+
+    thresholds: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 1.0, 100))
+    weight_mode: WeightMode = WeightMode.PAPER
     rank_tie_mode: RankTieMode = RankTieMode.PAPER
-    sparsification_grid: int | None = None
-    tie_seed: int = 0
+
+    def __post_init__(self):
+        t = np.asarray(self.thresholds, dtype=np.float64)
+        if t.ndim != 1 or len(t) == 0:
+            raise ValueError("thresholds must be a nonempty 1-D array")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("thresholds must be strictly increasing")
+        if t[0] < 0.0 or t[-1] > 1.0:
+            raise ValueError("thresholds must lie in [0, 1]")
+        t.flags.writeable = False
+        object.__setattr__(self, "thresholds", t)
 
 
 REPORT_HEADER = "dataset,predictor,ause,ce,spearman,nll"
@@ -317,8 +308,8 @@ def evaluate(records: EvaluationRecords, config: EvalConfig | None = None) -> Me
         warnings.warn(f"spearman undefined ({exc}); recording nan", RuntimeWarning)
         rho = float("nan")
     return MetricReport(
-        ause=ause(records, config.sparsification_grid, config.tie_seed),
-        ce=calibration_error(records.pits, config.calibration),
+        ause=ause(records),
+        ce=calibration_error(records.pits, config),
         spearman=rho,
         nll=nll(records),
     )

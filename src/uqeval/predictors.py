@@ -62,7 +62,6 @@ class TrueDistributionPredictor:
     """Oracle that reports the generating conditional distribution."""
 
     kind: DatasetKind
-    label: str = "oracle"
 
     def predict(self, x):
         means, std = _components(self.kind, x)
@@ -83,10 +82,6 @@ class ScaledUncertaintyPredictor:
 
     base: object
     scale: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.base.label}-x{self.scale:g}"
 
     def predict(self, x):
         dist = self.base.predict(x)
@@ -122,7 +117,6 @@ class EnsemblePredictor:
     members: tuple[MlpParams, ...]
     config: TrainConfig
     history: tuple[tuple[float, ...], ...]  # mean training loss per member, per epoch
-    label: str = "ensemble"
 
     def predict(self, x) -> Gaussian:
         comps = tuple(forward(params, x) for params in self.members)
@@ -172,14 +166,19 @@ def _single_blas_thread_env():
                 os.environ[name] = value
 
 
-def _exit_with_parent() -> None:
-    """Pool worker initializer: the worker ends as soon as its parent does.
+_worker_task = None  # (fn, the caller's numpy error state), set once in each pool worker
+
+
+def _start_worker(fn, np_errors: dict) -> None:
+    """Pool worker initializer: keeps the task, and ends the worker with its parent.
 
     A spawned worker holds both ends of the executor's pipes, so a parent
     killed by a signal would otherwise leave it training, or blocked on a
     pipe, for good.  `parent_process().join()` waits on a pipe that only
     the parent holds open, so it returns however the parent ends.
     """
+    global _worker_task
+    _worker_task = (fn, np_errors)
     parent = multiprocessing.parent_process()
 
     def watch() -> None:
@@ -189,13 +188,14 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
-def _call_recording_warnings(fn, np_errors: dict, item):
+def _call_recording_warnings(item):
     """Runs fn(item) in a pool worker under the caller's numpy error state.
 
     Returns the result and every warning the call issued as (text,
     category) pairs, so the caller's own warning filters decide which of
     them to show.
     """
+    fn, np_errors = _worker_task
     with warnings.catch_warnings(record=True) as caught, np.errstate(**np_errors):
         warnings.simplefilter("always")
         result = fn(item)
@@ -209,6 +209,8 @@ def map_on_cores(fn, items) -> list:
     processes, or in this process when that is one.  `fn` and the items
     must pickle, and each call's result may depend only on its item, so
     the results are the same either way; they come back in item order.
+    `fn` is sent to each worker once, as it starts, and each task carries
+    only its item.
     Each worker runs one BLAS thread.  Warnings a worker's call issues
     are issued again here, as its result arrives.  A call that raises
     raises here; when several do, the first in item order.  A worker
@@ -219,11 +221,11 @@ def map_on_cores(fn, items) -> list:
     if workers <= 1:
         return [fn(item) for item in items]
     spawn = multiprocessing.get_context("spawn")
-    call = partial(_call_recording_warnings, fn, np.geterr())
-    with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_exit_with_parent) as pool:
+    with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_start_worker,
+                             initargs=(fn, np.geterr())) as pool:
         # spawned workers read the environment when they start: while map submits
         with _single_blas_thread_env():
-            ordered = pool.map(call, items)
+            ordered = pool.map(_call_recording_warnings, items)
             # the executor starts watching a new worker for death when a submit
             # wakes it, so a no-op follows the submit that may have started one
             pool.submit(int)

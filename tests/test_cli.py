@@ -103,6 +103,25 @@ def test_non_finite_density_grid_bounds_are_usage_errors(tmp_path, capsys, model
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("predictor", ["oracle", "ensemble"])
+def test_overflowing_density_grid_span_is_a_usage_error(tmp_path, capsys, model_path,
+                                                        predictor) -> None:
+    argv = ["density-grid", "--dataset", "multimodal", "--nx", "2", "--ny", "3",
+            "--y-min=-1e308", "--y-max", "1e308", "--predictor", predictor,
+            "--model-path", str(model_path), "--out", str(tmp_path / "big.csv")]
+    assert run(argv) == 1
+    assert "density grid span overflows" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_bounds_in_scientific_notation_are_numbers(tmp_path) -> None:
+    argv = ["density-grid", "--dataset", "multimodal", "--nx", "2", "--ny", "3", "--y-max", "1"]
+    assert run(argv + ["--y-min", "-0.001", "--out", str(tmp_path / "decimal.csv")]) == 0
+    assert run(argv + ["--y-min", "-1e-3", "--out", str(tmp_path / "scientific.csv")]) == 0
+    decimal = (tmp_path / "decimal.csv").read_bytes()
+    assert (tmp_path / "scientific.csv").read_bytes() == decimal
+
+
 def test_generate_accepts_zero_rows(tmp_path) -> None:
     out = tmp_path / "empty.csv"
     assert run(["generate", "--dataset", "multimodal", "--n", "0", "--out", str(out)]) == 0

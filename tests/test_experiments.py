@@ -8,7 +8,6 @@ import pytest
 from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
 from uqeval import predictors
 from uqeval.metrics import (
-    CalibrationConfig,
     EvalConfig,
     MetricReport,
     RankTieMode,
@@ -149,9 +148,7 @@ def _tiny_ensemble():
 
 BIAS_CASES = {
     "oracle-uniform-average-7": lambda: (ORACLE_HET, 4, (8, 64), EvalConfig(
-        calibration=CalibrationConfig(thresholds=np.linspace(0.0, 1.0, 7),
-                                      weight_mode=WeightMode.UNIFORM),
-        rank_tie_mode=RankTieMode.AVERAGE)),
+        np.linspace(0.0, 1.0, 7), WeightMode.UNIFORM, RankTieMode.AVERAGE)),
     "tiny-ensemble": lambda: (_tiny_ensemble(), 3, (8, 64), None),
     "three-replicates": lambda: (ORACLE_HET, 3, (8, 64, 4097), None),
 }

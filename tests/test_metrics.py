@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqeval.metrics import (
-    CalibrationConfig,
     EvalConfig,
     EvaluationRecords,
     MetricReport,
@@ -321,12 +320,12 @@ def test_calibration_error_counts_pit_equal_to_threshold() -> None:
     pits = np.array([0.1, 0.2, 0.9])
     uniform = WeightMode.UNIFORM
     # the PIT 0.2 is covered at threshold 0.2: observed coverage 2/3, not 1/3
-    cfg = CalibrationConfig(thresholds=np.array([0.2]), weight_mode=uniform)
+    cfg = EvalConfig(thresholds=np.array([0.2]), weight_mode=uniform)
     assert calibration_error(pits, cfg) == pytest.approx((0.2 - 2.0 / 3.0) ** 2)
-    cfg = CalibrationConfig(thresholds=np.array([0.2]), weight_mode=WeightMode.PAPER)
+    cfg = EvalConfig(thresholds=np.array([0.2]), weight_mode=WeightMode.PAPER)
     assert calibration_error(pits, cfg) == pytest.approx(2.0 / 9.0 * (0.2 - 2.0 / 3.0) ** 2)
     # no PIT lies at or below 0.05; all lie at or below 1
-    cfg = CalibrationConfig(thresholds=np.array([0.05, 1.0]), weight_mode=uniform)
+    cfg = EvalConfig(thresholds=np.array([0.05, 1.0]), weight_mode=uniform)
     assert calibration_error(pits, cfg) == pytest.approx(0.05**2 / 2.0)
     with pytest.raises(ValueError):
         calibration_error(np.array([]), cfg)
@@ -334,21 +333,21 @@ def test_calibration_error_counts_pit_equal_to_threshold() -> None:
 
 def test_calibration_error_hand_case() -> None:
     pits = np.array([0.1, 0.2, 0.9])
-    cfg = CalibrationConfig(thresholds=np.array([0.5]), weight_mode=WeightMode.PAPER)
+    cfg = EvalConfig(thresholds=np.array([0.5]), weight_mode=WeightMode.PAPER)
     # observed coverage 2/3, weight (2/3)/3 = 2/9, gap^2 = 1/36
     assert calibration_error(pits, cfg) == pytest.approx(2.0 / 9.0 / 36.0)
-    cfg = CalibrationConfig(thresholds=np.array([0.5]), weight_mode=WeightMode.UNIFORM)
+    cfg = EvalConfig(thresholds=np.array([0.5]), weight_mode=WeightMode.UNIFORM)
     assert calibration_error(pits, cfg) == pytest.approx(1.0 / 36.0)
 
 
 def test_calibration_error_zero_for_exact_coverage() -> None:
     pits = np.array([0.25, 0.5, 0.75, 1.0])
-    cfg = CalibrationConfig(thresholds=np.array([0.25, 0.5, 0.75]))
+    cfg = EvalConfig(thresholds=np.array([0.25, 0.5, 0.75]))
     assert calibration_error(pits, cfg) == 0.0
 
 
 def test_default_thresholds_span_unit_interval() -> None:
-    cfg = CalibrationConfig()
+    cfg = EvalConfig()
     assert len(cfg.thresholds) == 100
     assert cfg.thresholds[0] == 0.0
     assert cfg.thresholds[-1] == 1.0
@@ -357,11 +356,11 @@ def test_default_thresholds_span_unit_interval() -> None:
 
 def test_threshold_validation() -> None:
     with pytest.raises(ValueError):
-        CalibrationConfig(thresholds=np.array([0.5, 0.5]))
+        EvalConfig(thresholds=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        CalibrationConfig(thresholds=np.array([-0.1, 0.5]))
+        EvalConfig(thresholds=np.array([-0.1, 0.5]))
     with pytest.raises(ValueError):
-        CalibrationConfig(thresholds=np.array([]))
+        EvalConfig(thresholds=np.array([]))
 
 
 def test_calibrated_pits_score_lower_than_miscalibrated() -> None:
@@ -369,9 +368,9 @@ def test_calibrated_pits_score_lower_than_miscalibrated() -> None:
     pits = rng.uniform(size=2**14)
     squeezed = scipy.stats.norm.cdf(scipy.stats.norm.ppf(pits) / 2.0)
     for mode in WeightMode:
-        cfg = CalibrationConfig(weight_mode=mode)
+        cfg = EvalConfig(weight_mode=mode)
         assert calibration_error(pits, cfg) < calibration_error(squeezed, cfg)
-    assert calibration_error(pits, CalibrationConfig()) < 1e-6
+    assert calibration_error(pits, EvalConfig()) < 1e-6
 
 
 # ----------------------------------------------------------------- rank / spearman
@@ -477,20 +476,24 @@ def test_nll_is_mean_negative_log_density() -> None:
     assert nll(rec) == pytest.approx(1.5)
 
 
-def test_evaluate_bundles_individual_metrics() -> None:
+@pytest.mark.parametrize("config", [
+    EvalConfig(),
+    EvalConfig(np.linspace(0, 1, 7), WeightMode.UNIFORM, RankTieMode.AVERAGE),
+], ids=["default", "uniform-average-7"])
+def test_evaluate_bundles_individual_metrics(config) -> None:
     rng = np.random.default_rng(6)
     n = 256
     rec = EvaluationRecords(
         abs_errors=rng.exponential(size=n),
-        uncertainties=rng.uniform(size=n),
+        uncertainties=rng.uniform(size=n).round(1),  # tied, so the rank tie mode matters
         log_densities=rng.normal(size=n),
         pits=rng.uniform(size=n),
     )
-    config = EvalConfig()
     report = evaluate(rec, config)
     assert report.ause == pytest.approx(ause(rec))
-    assert report.ce == pytest.approx(calibration_error(rec.pits))
-    assert report.spearman == pytest.approx(spearman(rec.uncertainties, rec.abs_errors))
+    assert report.ce == pytest.approx(calibration_error(rec.pits, config))
+    assert report.spearman == pytest.approx(
+        spearman(rec.uncertainties, rec.abs_errors, config.rank_tie_mode))
     assert report.nll == pytest.approx(nll(rec))
 
 

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,27 @@ def test_map_on_cores_calls_run_under_the_callers_numpy_error_state(monkeypatch)
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
             assert map_on_cores(np.exp, [1000.0, 0.0]) == [np.inf, 1.0]
+
+
+class PickleCountingAbs:
+    """abs, counting in this process how often it is pickled."""
+
+    pickled = 0
+
+    def __call__(self, x):
+        return abs(x)
+
+    def __reduce__(self):
+        type(self).pickled += 1
+        return partial, (abs,)  # a worker rebuilds it without importing this module
+
+
+def test_map_on_cores_sends_fn_to_each_worker_once(monkeypatch) -> None:
+    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
+    monkeypatch.setattr(PickleCountingAbs, "pickled", 0)
+    items = [3.0, -1.5, 0.25, 7.0, -2.0, 5.0]
+    assert map_on_cores(PickleCountingAbs(), items) == [abs(x) for x in items]
+    assert 1 <= PickleCountingAbs.pickled <= 2
 
 
 def test_training_diverged_error_survives_pickling() -> None:
