@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Writes every CLI artifact the workflow compares byte for byte, each with
+# its manifest, using one uqeval source tree:
+#
+#   bash .github/write-artifacts.sh SRC_DIR OUT_DIR
+#
+# Every dataset kind and split, each oracle command, non-default scoring
+# conventions, the 200003-row oracle layout (three record blocks plus a
+# remainder), and a trained ensemble with each command that takes it, at
+# 135169 rows too (two blocks, the second ending in a merged 4097-row
+# chunk).  The bias runs score their replicates in worker processes.
+# Commands run inside OUT_DIR with relative --out paths, so the manifests
+# of two runs compare too.  BLAS settings come from the caller's environment.
+set -euo pipefail
+
+src=$(cd "$1" && pwd)
+mkdir -p "$2"
+cd "$2"
+export PYTHONPATH="$src"
+
+uqeval() { python -m uqeval "$@"; }
+
+for kind in homoscedastic heteroscedastic multimodal epistemic; do
+  for split in train test; do
+    uqeval generate --dataset $kind --split $split --n 4099 --out "generate-$kind-$split.csv"
+  done
+  for tie in paper average; do
+    uqeval eval --dataset $kind --n 4099 --tie-mode $tie --out "eval-$kind-$tie.csv"
+  done
+  uqeval sparsify --dataset $kind --n 4099 --out "sparsify-$kind.csv"
+  uqeval density-grid --dataset $kind --nx 64 --ny 48 --out "density-grid-$kind.csv"
+done
+uqeval eval --dataset heteroscedastic --n 4099 --thresholds 7 \
+  --weights uniform --tie-mode average --out eval-conventions.csv
+uqeval sparsify --dataset multimodal --n 200003 --out sparsify-blocks.csv
+uqeval eval --dataset multimodal --n 200003 --out eval-blocks.csv
+uqeval bias --replicates 3 --out bias.csv
+uqeval stability --out stability.csv
+
+uqeval train --dataset homoscedastic --n 128 --out model.npz
+ensemble=(--dataset homoscedastic --predictor ensemble --model-path model.npz)
+uqeval sparsify "${ensemble[@]}" --n 4099 --out sparsify-ensemble.csv
+uqeval stability "${ensemble[@]}" --out stability-ensemble.csv
+uqeval density-grid "${ensemble[@]}" --nx 64 --ny 48 --out density-grid-ensemble.csv
+uqeval bias "${ensemble[@]}" --replicates 2 --out bias-ensemble.csv
+uqeval eval "${ensemble[@]}" --n 4099 --out eval-ensemble.csv
+uqeval eval "${ensemble[@]}" --n 135169 --out eval-ensemble-blocks.csv

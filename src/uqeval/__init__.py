@@ -30,7 +30,7 @@ from .metrics import (
     sparsification_curve,
     spearman,
 )
-from .network import AdamConfig, MlpParams
+from .network import MlpParams
 from .predictors import (
     EnsemblePredictor,
     ScaledUncertaintyPredictor,

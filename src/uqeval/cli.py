@@ -21,6 +21,7 @@ import numpy as np
 
 from .datasets import DatasetKind, Split, dataset_csv, generate
 from .metrics import EvalConfig, RankTieMode, REPORT_HEADER, WeightMode, evaluate
+from .network import LEARNING_RATE
 from .experiments import (
     bias_experiment,
     convergence_experiment,
@@ -230,7 +231,7 @@ def _cmd_train(args, argv) -> None:
     params = {
         "dataset": kind.value, "n": args.n, "seed": args.seed,
         "ensemble_size": config.ensemble_size, "epochs": config.epochs,
-        "batch_size": config.batch_size, "learning_rate": config.adam.learning_rate,
+        "batch_size": config.batch_size, "learning_rate": LEARNING_RATE,
     }
     _publish("train", argv, params, args.out, lambda path: save_ensemble(predictor, path))
 
@@ -296,7 +297,11 @@ def _cmd_density_grid(args, argv) -> None:
                          f"--y-min {args.y_min} --y-max {args.y_max}")
     xs = np.linspace(x_min, x_max, args.nx)
     ys = np.linspace(args.y_min, args.y_max, args.ny)
-    chunks = density_grid_csv(predictor, xs, ys)
+    try:
+        chunks = density_grid_csv(predictor, xs, ys)
+    except ValueError as exc:  # an ensemble's moments overflow far outside its training inputs
+        raise UsageError(f"error: the predictive distribution is not finite on --x-min {x_min} "
+                         f"--x-max {x_max} ({exc})") from exc
     params = {"dataset": kind.value, "x_min": x_min, "x_max": x_max,
               "y_min": args.y_min, "y_max": args.y_max,
               "nx": args.nx, "ny": args.ny, **pparams}

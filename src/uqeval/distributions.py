@@ -87,7 +87,7 @@ class GaussianMixture:
     def log_density(self, y) -> np.ndarray | float:
         # log-sum-exp over components; stable when some components underflow
         parts = [np.asarray(c.log_density(y)) for c in self.components]
-        stacked = np.stack(np.broadcast_arrays(*parts)) if len(parts) > 1 else np.stack(parts)
+        stacked = np.stack(np.broadcast_arrays(*parts))
         shape = (len(self.components),) + (1,) * (stacked.ndim - 1)
         out = logsumexp(stacked, axis=0, b=self.weights.reshape(shape))
         return out if np.ndim(out) else float(out)

@@ -140,33 +140,30 @@ def gaussian_nll_terms(
 
 def loss_and_grads(
     params: MlpParams, x: np.ndarray, y: np.ndarray
-) -> tuple[float, MlpParams]:
-    """Mean batch loss and its exact gradient wrt every parameter."""
+) -> tuple[float, list[np.ndarray]]:
+    """Mean batch loss and its exact gradient wrt every parameter, in `arrays()` order."""
     out, hiddens = _forward_hidden(params, x)
     n = len(x)
     loss_i, dmean, draw = gaussian_nll_terms(out[:, 0], out[:, 1], y)
     dout = np.stack([dmean, draw], axis=1) / n
 
-    grad_w = [np.empty_like(w) for w in params.weights]
-    grad_b = [np.empty_like(b) for b in params.biases]
+    grads: list[np.ndarray] = []
     delta = dout
     for i in range(len(params.weights) - 1, -1, -1):
-        grad_w[i] = hiddens[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        grads[:0] = [hiddens[i].T @ delta, delta.sum(axis=0)]
         if i > 0:
             delta = delta @ params.weights[i].T
             delta[hiddens[i] <= 0] = 0.0
-    return float(np.mean(loss_i)), MlpParams(grad_w, grad_b)
+    return float(np.mean(loss_i)), grads
 
 
 # ----------------------------------------------------------------- Adam
 
-@dataclass(frozen=True)
-class AdamConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+# Kingma & Ba (2015) at the paper's settings; every model file records them
+LEARNING_RATE = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass(eq=False)
@@ -184,34 +181,29 @@ class AdamState:
         )
 
 
-def adam_step(
-    arrays: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    config: AdamConfig,
-) -> None:
+def adam_step(arrays: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
     """One update with bias correction, in place on `arrays`, `state.m` and `state.v`.
 
-    Kingma & Ba (2015), Alg. 1, in this operand order:
+    Kingma & Ba (2015), Alg. 1, with the module's constants, in this operand order:
     m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
     a -= ((m / c1) lr) / (sqrt(v / c2) + eps)  with c_i = 1 - b_i^t.
     Every product and quotient is the one an allocating evaluation of
     these expressions computes, so the bits do not depend on the buffers.
     """
     state.step += 1
-    c1 = 1.0 - config.beta1**state.step
-    c2 = 1.0 - config.beta2**state.step
+    c1 = 1.0 - BETA1**state.step
+    c2 = 1.0 - BETA2**state.step
     for a, g, m, v in zip(arrays, grads, state.m, state.v):
         step, den = np.empty_like(a), np.empty_like(a)
-        m *= config.beta1
-        m += np.multiply(g, 1.0 - config.beta1, out=step)
-        v *= config.beta2
-        np.multiply(g, 1.0 - config.beta2, out=step)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=step)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=step)
         v += np.multiply(step, g, out=step)
         np.divide(v, c2, out=den)
         np.sqrt(den, out=den)
-        den += config.eps
+        den += EPS
         np.divide(m, c1, out=step)
-        step *= config.learning_rate
+        step *= LEARNING_RATE
         step /= den
         a -= step

@@ -15,7 +15,7 @@ import warnings
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -24,9 +24,12 @@ from .datasets import DatasetKind, LabeledSet, _components
 from .distributions import Gaussian, GaussianMixture, moment_match
 from .metrics import EvaluationRecords
 from .network import (
+    BETA1,
+    BETA2,
+    EPS,
     FORWARD_CHUNK_ROWS,
     LAYER_SIZES,
-    AdamConfig,
+    LEARNING_RATE,
     AdamState,
     MlpParams,
     adam_step,
@@ -103,11 +106,17 @@ class ScaledUncertaintyPredictor:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The ensemble recipe; Adam's settings are fixed in `network`."""
+
     ensemble_size: int = 5
     epochs: int = 20
     batch_size: int = 128
-    adam: AdamConfig = field(default_factory=AdamConfig)
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.ensemble_size, self.epochs, self.batch_size) < 1:
+            raise ValueError(f"ensemble_size, epochs and batch_size must be positive, got "
+                             f"{self.ensemble_size}, {self.epochs} and {self.batch_size}")
 
 
 @dataclass(eq=False)
@@ -139,7 +148,7 @@ def _train_member(train: LabeledSet, config: TrainConfig, member: int) -> tuple[
             loss, grads = loss_and_grads(params, train.xs[batch], train.ys[batch])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(member, epoch, start // config.batch_size)
-            adam_step(arrays, grads.arrays(), state, config.adam)
+            adam_step(arrays, grads, state)
             total += loss * len(batch)
         epoch_losses.append(total / n)
     return params, epoch_losses
@@ -249,8 +258,6 @@ def train_ensemble(train: LabeledSet, config: TrainConfig | None = None) -> Ense
     config = config or TrainConfig()
     if len(train) == 0:
         raise ValueError("empty training set")
-    if config.ensemble_size < 1 or config.epochs < 1 or config.batch_size < 1:
-        raise ValueError("ensemble_size, epochs and batch_size must be positive")
     results = map_on_cores(partial(_train_member, train, config), range(config.ensemble_size))
     params, history = zip(*results)
     return EnsemblePredictor(params, config, tuple(tuple(losses) for losses in history))
@@ -265,10 +272,10 @@ def save_ensemble(predictor: EnsemblePredictor, path) -> None:
         "ensemble_size": cfg.ensemble_size,
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
-        "learning_rate": cfg.adam.learning_rate,
-        "beta1": cfg.adam.beta1,
-        "beta2": cfg.adam.beta2,
-        "eps": cfg.adam.eps,
+        "learning_rate": LEARNING_RATE,
+        "beta1": BETA1,
+        "beta2": BETA2,
+        "eps": EPS,
         "seed": cfg.seed,
     }
     arrays = {
@@ -326,18 +333,12 @@ def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
             ensemble_size=int(meta["ensemble_size"]),
             epochs=int(meta["epochs"]),
             batch_size=int(meta["batch_size"]),
-            adam=AdamConfig(
-                learning_rate=float(meta["learning_rate"]),
-                beta1=float(meta["beta1"]),
-                beta2=float(meta["beta2"]),
-                eps=float(meta["eps"]),
-            ),
             seed=int(meta["seed"]),
         )
+        for key in ("learning_rate", "beta1", "beta2", "eps"):  # recorded, not read back
+            float(meta[key])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"model file {path}: malformed config_json ({exc!r})") from exc
-    if config.ensemble_size < 1:
-        raise ValueError(f"model file {path}: ensemble_size {config.ensemble_size} is not positive")
     members = []
     layers = list(enumerate(zip(LAYER_SIZES[:-1], LAYER_SIZES[1:])))
     for j in range(config.ensemble_size):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,22 @@ def test_sparsify_and_density_grid(tmp_path, model_path) -> None:
                 "--out", str(grid)]) == 1
 
 
+@pytest.mark.parametrize("bound", ["1e300", "1e200"])
+def test_density_grid_where_the_ensemble_overflows_is_a_usage_error(
+    tmp_path, model_path, capsys, bound
+) -> None:
+    grid = tmp_path / "grid.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["density-grid", "--dataset", "homoscedastic", "--predictor", "ensemble",
+                    "--model-path", str(model_path), f"--x-min=-{bound}", "--x-max", bound,
+                    "--nx", "3", "--ny", "2", "--out", str(grid)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: the predictive distribution is not finite on --x-min -{float(bound)} " \
+        f"--x-max {float(bound)}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_artifacts_regenerate_byte_identically(tmp_path, model_path) -> None:
     commands = [
         ["generate", "--dataset", "heteroscedastic", "--n", "64", "--seed", "7",
@@ -317,6 +334,14 @@ def _wrong_shape(arrays) -> None:
     arrays["member0_w1"] = arrays["member0_w1"][:, :128]
 
 
+def _edit_config(arrays, **changes) -> None:
+    """Sets config_json keys to the given values; None removes the key."""
+    meta = json.loads(str(arrays["config_json"]))
+    meta.update(changes)
+    meta = {key: value for key, value in meta.items() if value is not None}
+    arrays["config_json"] = np.array(json.dumps(meta, sort_keys=True))
+
+
 @pytest.mark.parametrize(
     "edit, problem",
     [
@@ -325,8 +350,10 @@ def _wrong_shape(arrays) -> None:
         (_wrong_shape, "'member0_w1' is float64 (256, 128), expected float64 (256, 256)"),
         (lambda arrays: arrays.update(config_json=np.array('{"seed": 0}')),
          "malformed config_json (KeyError('ensemble_size'))"),
+        (partial(_edit_config, epochs=0), "must be positive, got 5, 0 and 128"),
+        (partial(_edit_config, eps=None), "malformed config_json (KeyError('eps'))"),
     ],
-    ids=["nan-weight", "missing-key", "wrong-shape", "bad-config"],
+    ids=["nan-weight", "missing-key", "wrong-shape", "bad-config", "zero-epochs", "no-eps"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, model_path, capsys, edit, problem) -> None:
     bad = tmp_path / "bad.npz"

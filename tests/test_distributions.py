@@ -163,6 +163,15 @@ def test_mixture_of_identical_components_equals_single_gaussian() -> None:
     assert np.allclose(mix.cdf(ys), g.cdf(ys), rtol=1e-12)
 
 
+@pytest.mark.parametrize("y", [np.linspace(-3.0, 3.0, 11), 0.7], ids=["array", "scalar"])
+def test_one_component_mixture_log_density_is_bit_identical_to_its_gaussian(y) -> None:
+    g = Gaussian(0.3, 0.8)
+    got = GaussianMixture(np.array([1.0]), (g,)).log_density(y)
+    want = g.log_density(y)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_mixture_cdf_weighted_sum_and_symmetry() -> None:
     mix = GaussianMixture(np.array([0.5, 0.5]), (Gaussian(-1.0, 0.25), Gaussian(1.0, 0.25)))
     assert mix.cdf(0.0) == pytest.approx(0.5, abs=1e-12)

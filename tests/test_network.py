@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from uqeval import network
 from uqeval.distributions import Gaussian
 from uqeval.network import (
     FORWARD_CHUNK_ROWS as C,
-    AdamConfig,
     AdamState,
     LAYER_SIZES,
+    LEARNING_RATE,
     MlpParams,
     VARIANCE_SHIFT,
     _forward_hidden,
@@ -136,10 +137,9 @@ def test_backprop_matches_finite_differences() -> None:
     params = init_params(make_rng(7))
     x = rng.uniform(-1, 1, size=8)
     y = rng.normal(size=8)
-    _, grads = loss_and_grads(params, x, y)
+    _, grad_arrays = loss_and_grads(params, x, y)
     h = 1e-5
     arrays = params.arrays()
-    grad_arrays = grads.arrays()
     for _ in range(8):
         layer = int(rng.integers(len(arrays)))
         flat = int(rng.integers(arrays[layer].size))
@@ -155,23 +155,35 @@ def test_backprop_matches_finite_differences() -> None:
         assert abs(analytic - fd) / denom < 1e-4
 
 
+ADAM_CONSTANTS = ("LEARNING_RATE", "BETA1", "BETA2", "EPS")
+
+
 def allocating_adam_step(arrays, grads, state, config):
-    """The allocating update the in-place `adam_step` replaced, kept as its reference."""
+    """The allocating update the in-place `adam_step` replaced, kept as its reference.
+
+    `config` is (learning rate, beta1, beta2, eps).
+    """
+    lr, beta1, beta2, eps = config
     t = state.step + 1
     new_arrays, new_m, new_v = [], [], []
     for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
-        new_arrays.append(a - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        new_arrays.append(a - lr * m_hat / (np.sqrt(v_hat) + eps))
         new_m.append(m)
         new_v.append(v)
     return new_arrays, AdamState(step=t, m=new_m, v=new_v)
 
 
-@pytest.mark.parametrize("config", [AdamConfig(), AdamConfig(0.01, 0.8, 0.99, 1e-6)])
-def test_in_place_adam_is_bit_identical_to_allocating_adam(config) -> None:
+@pytest.mark.parametrize(
+    "config",
+    [tuple(getattr(network, name) for name in ADAM_CONSTANTS), (0.01, 0.8, 0.99, 1e-6)],
+)
+def test_in_place_adam_is_bit_identical_to_allocating_adam(monkeypatch, config) -> None:
+    for name, value in zip(ADAM_CONSTANTS, config):
+        monkeypatch.setattr(network, name, value)
     rng = np.random.default_rng(4)
     arrays = init_params(make_rng(4)).arrays()
     ref = [a.copy() for a in arrays]
@@ -182,7 +194,7 @@ def test_in_place_adam_is_bit_identical_to_allocating_adam(config) -> None:
         grads = [rng.normal(size=a.shape) * 10.0 ** rng.integers(-8, 3, size=a.shape)
                  * (rng.random(a.shape) > 0.05) for a in arrays]
         kept = [g.copy() for g in grads]
-        adam_step(arrays, grads, state, config)
+        adam_step(arrays, grads, state)
         ref, ref_state = allocating_adam_step(ref, grads, ref_state, config)
         assert all(g.tobytes() == k.tobytes() for g, k in zip(grads, kept))  # grads are read only
     assert state.step == ref_state.step == 50
@@ -191,32 +203,29 @@ def test_in_place_adam_is_bit_identical_to_allocating_adam(config) -> None:
 
 
 def test_adam_first_step_magnitude() -> None:
-    cfg = AdamConfig()
     arr = [np.array([0.0])]
     state = AdamState.zeros_like(arr)
-    adam_step(arr, [np.array([1.0])], state, cfg)
-    assert abs(arr[0][0] + cfg.learning_rate) < 1e-8
+    adam_step(arr, [np.array([1.0])], state)
+    assert abs(arr[0][0] + LEARNING_RATE) < 1e-8
     assert state.step == 1
 
 
 def test_adam_zero_gradient_keeps_parameters() -> None:
-    cfg = AdamConfig()
     arr = [np.array([1.5, -2.0])]
     state = AdamState.zeros_like(arr)
-    adam_step(arr, [np.zeros(2)], state, cfg)
+    adam_step(arr, [np.zeros(2)], state)
     assert np.array_equal(arr[0], [1.5, -2.0])
 
 
 def test_adam_is_deterministic() -> None:
-    cfg = AdamConfig()
     grads = [np.array([0.1]), np.array([[0.2, -0.3]])]
     runs = []
     for _ in range(2):
         arr = [np.array([0.3]), np.array([[1.0, 2.0]])]
         state = AdamState.zeros_like(arr)
-        adam_step(arr, grads, state, cfg)
+        adam_step(arr, grads, state)
         first = [a.copy() for a in arr]
-        adam_step(arr, grads, state, cfg)
+        adam_step(arr, grads, state)
         runs.append((first, arr))
     (a1, a2), (b1, b2) = runs
     assert all(np.array_equal(x, y) for x, y in zip(a1, b1))

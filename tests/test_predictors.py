@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pickle
@@ -430,8 +431,9 @@ def test_a_killed_pool_worker_raises_instead_of_hanging() -> None:
 
 
 def test_train_config_validation() -> None:
-    with pytest.raises(ValueError):
-        train_ensemble(small_train_set(), TrainConfig(ensemble_size=0))
+    for field in ("ensemble_size", "epochs", "batch_size"):
+        with pytest.raises(ValueError, match="must be positive"):
+            TrainConfig(**{field: 0})
     with pytest.raises(ValueError):
         train_ensemble(LabeledSet(np.array([]), np.array([])), SMALL)
 
@@ -445,6 +447,10 @@ def test_save_load_round_trip(tmp_path) -> None:
     back = load_ensemble(path)
     assert isinstance(back, EnsemblePredictor)
     assert back.config == de.config
+    with np.load(path) as archive:
+        meta = json.loads(str(archive["config_json"]))
+    assert meta == {"ensemble_size": 2, "epochs": 2, "batch_size": 64, "learning_rate": 1e-3,
+                    "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "seed": 0}
     assert back.history == de.history
     x = np.linspace(-1, 1, 33)
     a = de.predict(x)
