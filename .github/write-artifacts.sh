@@ -8,7 +8,9 @@
 # conventions, the 200003-row oracle layout (three record blocks plus a
 # remainder), and a trained ensemble with each command that takes it, at
 # 135169 rows too (two blocks, the second ending in a merged 4097-row
-# chunk).  The bias runs score their replicates in worker processes.
+# chunk).  A second ensemble trains on 1024 rows, 8 batches per epoch, so
+# its bytes cover 800 optimizer steps per member.  The bias runs score
+# their replicates in worker processes.
 # Commands run inside OUT_DIR with relative --out paths, so the manifests
 # of two runs compare too.  BLAS settings come from the caller's environment.
 set -euo pipefail
@@ -45,3 +47,7 @@ uqeval density-grid "${ensemble[@]}" --nx 64 --ny 48 --out density-grid-ensemble
 uqeval bias "${ensemble[@]}" --replicates 2 --out bias-ensemble.csv
 uqeval eval "${ensemble[@]}" --n 4099 --out eval-ensemble.csv
 uqeval eval "${ensemble[@]}" --n 135169 --out eval-ensemble-blocks.csv
+
+uqeval train --dataset heteroscedastic --n 1024 --out model-1024.npz
+uqeval eval --dataset heteroscedastic --predictor ensemble --model-path model-1024.npz \
+  --n 4099 --out eval-ensemble-1024.csv

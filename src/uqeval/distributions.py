@@ -6,14 +6,16 @@ CDF and moment operations broadcast.  Variances are floored at
 VARIANCE_FLOOR on construction so log densities stay finite.
 
 The normal CDF uses scipy's ndtr (the platform erf), whose absolute
-error is far below the 1e-7 the interface promises.
+error is far below the 1e-7 the interface promises.  `ndtr` and
+`logsumexp` are imported when first used, in `Gaussian.cdf` and
+`GaussianMixture.log_density`, so a process that never computes a CDF
+or a mixture density (`train` and its workers, say) never loads scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 VARIANCE_FLOOR = 1e-12
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -46,6 +48,8 @@ class Gaussian:
         return out if out.ndim else float(out)
 
     def cdf(self, y) -> np.ndarray | float:
+        from scipy.special import ndtr
+
         y = np.asarray(y, dtype=np.float64)
         out = ndtr((y - self.mean) / np.sqrt(self.variance))
         return out if np.ndim(out) else float(out)
@@ -85,6 +89,8 @@ class GaussianMixture:
         return out if np.ndim(out) else float(out)
 
     def log_density(self, y) -> np.ndarray | float:
+        from scipy.special import logsumexp
+
         # log-sum-exp over components; stable when some components underflow
         parts = [np.asarray(c.log_density(y)) for c in self.components]
         stacked = np.stack(np.broadcast_arrays(*parts))

@@ -133,10 +133,16 @@ def density_grid_csv(
     """Rows iterate x in the outer loop and y in the inner loop.
 
     Each chunk of text holds the rows of about CSV_BLOCK_ROWS // ny x values.
+    A log density that is not finite somewhere on the grid (a non-finite
+    grid value, or one so far out that the density underflows to 0)
+    raises ValueError naming the first such point, before any text is made.
     """
     x_values = np.asarray(x_values, dtype=np.float64)
     y_values = np.asarray(y_values, dtype=np.float64)
     z = log_density_grid(predictor, x_values, y_values)
+    if not np.isfinite(z).all():
+        i, j = np.argwhere(~np.isfinite(z))[0]
+        raise ValueError(f"log density {z[i, j]} at x {x_values[i]}, y {y_values[j]}")
     ny = len(y_values)
     step = max(1, CSV_BLOCK_ROWS // max(1, ny))
     blocks = (

@@ -8,13 +8,19 @@ sample is the exact negative log density
     log(var) / 2 + (y - mean)^2 / (2 var) + log(2 pi) / 2
 
 and gradients are computed analytically (backprop through the softplus).
+
+The softplus derivative, the logistic sigmoid, is computed per element
+with libm's `math.exp` as 1 / (1 + exp(-x)): the formula and the exp that
+scipy's `expit` uses, so trained parameters keep their bits, without
+loading scipy in a training process.  numpy's vectorised exp rounds
+differently from libm's on some inputs, which would change model bytes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .distributions import Gaussian
 
@@ -125,6 +131,17 @@ def forward(params: MlpParams, x: np.ndarray) -> Gaussian:
     return Gaussian(mean, var)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) of each element of a 1-D array (see the module docstring)."""
+    out = []
+    for value in x.tolist():
+        try:
+            out.append(1.0 / (1.0 + math.exp(-value)))
+        except OverflowError:  # exp(-value) is above the largest float: 1 / (1 + inf)
+            out.append(0.0)
+    return np.array(out)
+
+
 def gaussian_nll_terms(
     mean: np.ndarray, raw: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,7 +151,7 @@ def gaussian_nll_terms(
     loss = 0.5 * np.log(var) + resid**2 / (2.0 * var) + _HALF_LOG_2PI
     dmean = -resid / var
     dvar = 0.5 / var - resid**2 / (2.0 * var**2)
-    draw = dvar * expit(raw)
+    draw = dvar * _sigmoid(raw)
     return loss, dmean, draw
 
 

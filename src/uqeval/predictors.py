@@ -8,6 +8,7 @@ per-sample records the metrics consume.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -311,9 +312,12 @@ def _param_entry(archive, key: str, shape: tuple[int, ...], path) -> np.ndarray:
 def load_ensemble(path) -> EnsemblePredictor:
     """Reads a `save_ensemble` archive.
 
-    A truncated archive, a malformed config, a missing or mis-shaped
-    parameter array, or a non-finite parameter raises ValueError naming
-    the file and the entry, before any inference runs.
+    A truncated archive, a malformed config (a value that is not the JSON
+    integer or number `save_ensemble` writes, say), a missing or
+    mis-shaped parameter array, a non-finite parameter, a member array
+    beyond the configured ensemble size, or a loss history whose shape is
+    not (ensemble_size, epochs) raises ValueError naming the file and the
+    entry, before any inference runs.
     """
     try:
         with np.load(path) as archive:
@@ -322,31 +326,51 @@ def load_ensemble(path) -> EnsemblePredictor:
         raise ValueError(f"model file {path}: not a readable .npz archive ({exc})") from exc
 
 
+_CONFIG_INTEGERS = ("ensemble_size", "epochs", "batch_size", "seed")
+_CONFIG_ADAM = ("learning_rate", "beta1", "beta2", "eps")  # recorded, not read back
+
+
+def _config_from_json(text: str, path) -> TrainConfig:
+    """The TrainConfig of a `config_json` entry, which must hold JSON values of the saved types."""
+    try:
+        meta = json.loads(text)
+        values = {key: meta[key] for key in _CONFIG_INTEGERS + _CONFIG_ADAM}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"model file {path}: malformed config_json ({exc!r})") from exc
+    for key, value in values.items():  # exact types: json reads true as a bool, an int subclass
+        if key in _CONFIG_INTEGERS:
+            ok, noun = type(value) is int, "an integer"
+        else:
+            ok = type(value) is int or (type(value) is float and math.isfinite(value))
+            noun = "a finite number"
+        if not ok:
+            raise ValueError(f"model file {path}: config_json {key!r} must be {noun}, got {value!r}")
+    try:
+        return TrainConfig(**{key: values[key] for key in _CONFIG_INTEGERS})
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: malformed config_json ({exc!r})") from exc
+
+
 def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
     fmt = str(_entry(archive, "format", path))
     if fmt != ENSEMBLE_FORMAT:
         raise ValueError(f"model file {path}: unsupported model format {fmt!r}")
-    text = str(_entry(archive, "config_json", path))
-    try:
-        meta = json.loads(text)
-        config = TrainConfig(
-            ensemble_size=int(meta["ensemble_size"]),
-            epochs=int(meta["epochs"]),
-            batch_size=int(meta["batch_size"]),
-            seed=int(meta["seed"]),
-        )
-        for key in ("learning_rate", "beta1", "beta2", "eps"):  # recorded, not read back
-            float(meta[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"model file {path}: malformed config_json ({exc!r})") from exc
+    config = _config_from_json(str(_entry(archive, "config_json", path)), path)
+    extra = sorted(key for key in archive.files if key.startswith(f"member{config.ensemble_size}_"))
+    if extra:
+        raise ValueError(f"model file {path}: array {extra[0]!r} is beyond the "
+                         f"{config.ensemble_size} members config_json declares")
     members = []
     layers = list(enumerate(zip(LAYER_SIZES[:-1], LAYER_SIZES[1:])))
     for j in range(config.ensemble_size):
         weights = [_param_entry(archive, f"member{j}_w{i}", shape, path) for i, shape in layers]
         biases = [_param_entry(archive, f"member{j}_b{i}", shape[1:], path) for i, shape in layers]
         members.append(MlpParams(weights, biases))
-    history = tuple(tuple(row) for row in _entry(archive, "history", path))
-    return EnsemblePredictor(tuple(members), config, history)
+    history = _entry(archive, "history", path)
+    if history.shape != (config.ensemble_size, config.epochs):
+        raise ValueError(f"model file {path}: array 'history' is {history.shape}, expected "
+                         f"(ensemble_size, epochs) = {(config.ensemble_size, config.epochs)}")
+    return EnsemblePredictor(tuple(members), config, tuple(tuple(row) for row in history))
 
 
 # ----------------------------------------------------------------- records & grids

@@ -89,6 +89,11 @@ def test_oracle_density_grid_outside_the_domain_is_a_usage_error(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def _grid_error(x_min, x_max, y_min, y_max) -> str:
+    return (f"error: the log predictive density is not finite on --x-min {float(x_min)} "
+            f"--x-max {float(x_max)} --y-min {float(y_min)} --y-max {float(y_max)} (")
+
+
 @pytest.mark.parametrize("predictor", ["oracle", "ensemble"])
 @pytest.mark.parametrize("flag, value", [("--x-min", "nan"), ("--x-max", "inf"), ("--y-min", "nan"),
                                          ("--y-max", "inf"), ("--y-min", "-inf")])
@@ -97,10 +102,13 @@ def test_non_finite_density_grid_bounds_are_usage_errors(tmp_path, capsys, model
     argv = ["density-grid", "--dataset", "multimodal", "--nx", "2", "--ny", "2", f"{flag}={value}",
             "--predictor", predictor, "--model-path", str(model_path),
             "--out", str(tmp_path / "g.csv")]
-    assert run(argv) == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(argv) == 1
     err = capsys.readouterr().err
     if not (predictor == "oracle" and flag.startswith("--x")):  # outside the oracle's domain
-        assert f"density grid bounds must be finite, got {flag} {value}" in err
+        x_min, x_max = DatasetKind.MULTIMODAL.domain
+        bounds = {"--x-min": x_min, "--x-max": x_max, "--y-min": -2.0, "--y-max": 2.0, flag: value}
+        assert _grid_error(*bounds.values()) in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -110,8 +118,23 @@ def test_overflowing_density_grid_span_is_a_usage_error(tmp_path, capsys, model_
     argv = ["density-grid", "--dataset", "multimodal", "--nx", "2", "--ny", "3",
             "--y-min=-1e308", "--y-max", "1e308", "--predictor", predictor,
             "--model-path", str(model_path), "--out", str(tmp_path / "big.csv")]
-    assert run(argv) == 1
-    assert "density grid span overflows" in capsys.readouterr().err
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(argv) == 1
+    assert _grid_error(*DatasetKind.MULTIMODAL.domain, -1e308, 1e308) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("predictor", ["oracle", "ensemble"])
+def test_density_grid_whose_density_underflows_is_a_usage_error(tmp_path, capsys, model_path,
+                                                               predictor) -> None:
+    # finite bounds and span, but at y = -1e200 the log density is -inf
+    argv = ["density-grid", "--dataset", "homoscedastic", "--y-min=-1e200", "--y-max", "1e200",
+            "--nx", "3", "--ny", "2", "--predictor", predictor, "--model-path", str(model_path),
+            "--out", str(tmp_path / "grid.csv")]
+    with np.errstate(over="ignore"):
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert _grid_error(-1, 1, -1e200, 1e200) + "log density -inf at x -1.0, y -1e+200)" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -254,9 +277,7 @@ def test_density_grid_where_the_ensemble_overflows_is_a_usage_error(
                     "--model-path", str(model_path), f"--x-min=-{bound}", "--x-max", bound,
                     "--nx", "3", "--ny", "2", "--out", str(grid)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert f"error: the predictive distribution is not finite on --x-min -{float(bound)} " \
-        f"--x-max {float(bound)}" in err
+    assert _grid_error(f"-{bound}", bound, -2, 2) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -352,8 +373,26 @@ def _edit_config(arrays, **changes) -> None:
          "malformed config_json (KeyError('ensemble_size'))"),
         (partial(_edit_config, epochs=0), "must be positive, got 5, 0 and 128"),
         (partial(_edit_config, eps=None), "malformed config_json (KeyError('eps'))"),
+        (partial(_edit_config, epochs=2.7), "config_json 'epochs' must be an integer, got 2.7"),
+        (partial(_edit_config, epochs="3"), "config_json 'epochs' must be an integer, got '3'"),
+        (partial(_edit_config, epochs=True), "config_json 'epochs' must be an integer, got True"),
+        (partial(_edit_config, ensemble_size=2.9),
+         "config_json 'ensemble_size' must be an integer, got 2.9"),
+        (partial(_edit_config, batch_size=128.0),
+         "config_json 'batch_size' must be an integer, got 128.0"),
+        (partial(_edit_config, seed=False), "config_json 'seed' must be an integer, got False"),
+        (partial(_edit_config, learning_rate="0.001"),
+         "config_json 'learning_rate' must be a finite number, got '0.001'"),
+        (partial(_edit_config, beta1=True), "config_json 'beta1' must be a finite number, got True"),
+        (partial(_edit_config, eps=float("nan")), "config_json 'eps' must be a finite number, got nan"),
+        (lambda arrays: arrays.update(history=arrays["history"][:, :19]),
+         "array 'history' is (5, 19), expected (ensemble_size, epochs) = (5, 20)"),
+        (partial(_edit_config, ensemble_size=4),
+         "array 'member4_b0' is beyond the 4 members config_json declares"),
     ],
-    ids=["nan-weight", "missing-key", "wrong-shape", "bad-config", "zero-epochs", "no-eps"],
+    ids=["nan-weight", "missing-key", "wrong-shape", "bad-config", "zero-epochs", "no-eps",
+         "float-epochs", "string-epochs", "bool-epochs", "float-ensemble-size", "float-batch-size",
+         "bool-seed", "string-learning-rate", "bool-beta1", "nan-eps", "short-history", "extra-member"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, model_path, capsys, edit, problem) -> None:
     bad = tmp_path / "bad.npz"
@@ -361,9 +400,11 @@ def test_eval_rejects_bad_model_file(tmp_path, model_path, capsys, edit, problem
     code = run(["eval", "--dataset", "homoscedastic", "--predictor", "ensemble",
                 "--model-path", str(bad), "--n", "16"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert f"error: model file {bad}: " in err
-    assert problem in err
+    captured = capsys.readouterr()
+    assert f"error: model file {bad}: " in captured.err
+    assert problem in captured.err
+    assert captured.out == ""  # no report
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.npz"]
 
 
 def test_eval_rejects_truncated_model_file(tmp_path, model_path, capsys) -> None:
@@ -404,3 +445,43 @@ def test_pooled_bias_prints_an_undefined_metric_warning_once(tmp_path) -> None:
     assert done.returncode == 0, done.stderr
     assert done.stderr.count("spearman undefined") == 1
     assert out.exists()
+
+
+# Runs --help, generate and a pooled train in one fresh process, checking
+# after each step that scipy has not been imported; argv[1] is a directory.
+NUMPY_ONLY_COMMANDS = """
+import contextlib, io, os, sys
+from uqeval import cli, predictors
+
+def assert_no_scipy(after):
+    assert "scipy" not in sys.modules, f"scipy imported by {after}"
+
+assert_no_scipy("import uqeval.cli")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["--help"]) == 0
+assert_no_scipy("--help")
+out = os.path.join(sys.argv[1], "data.csv")
+assert cli.run(["generate", "--dataset", "multimodal", "--n", "64", "--out", out]) == 0
+assert_no_scipy("generate")
+predictors._available_cores = lambda: 2  # two workers even on a one-core machine
+out = os.path.join(sys.argv[1], "model.npz")
+assert cli.run(["train", "--dataset", "homoscedastic", "--n", "64", "--out", out]) == 0
+assert_no_scipy("a pooled train")
+"""
+
+
+def test_help_generate_and_train_never_import_scipy(tmp_path) -> None:
+    done = _python("-c", NUMPY_ONLY_COMMANDS, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "model.npz").exists()
+
+
+def test_fresh_oracle_eval_imports_scipy_on_demand(capsys) -> None:
+    argv = ["eval", "--dataset", "multimodal", "--n", "300", "--seed", "5"]
+    script = ("import sys; from uqeval.cli import run; "
+              "assert 'scipy' not in sys.modules; code = run(sys.argv[1:]); "
+              "assert 'scipy.special' in sys.modules; sys.exit(code)")
+    done = _python("-c", script, *argv)
+    assert done.returncode == 0, done.stderr
+    assert run(argv) == 0
+    assert done.stdout == capsys.readouterr().out

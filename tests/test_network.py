@@ -14,6 +14,7 @@ from uqeval.network import (
     MlpParams,
     VARIANCE_SHIFT,
     _forward_hidden,
+    _sigmoid,
     adam_step,
     forward,
     gaussian_nll_terms,
@@ -130,6 +131,18 @@ def test_nll_term_gradients_match_finite_differences() -> None:
         fd_raw = (value(mean, raw + h) - value(mean, raw - h)) / (2 * h)
         assert dmean[0] == pytest.approx(fd_mean, rel=1e-5, abs=1e-8)
         assert draw[0] == pytest.approx(fd_raw, rel=1e-5, abs=1e-8)
+
+
+def test_sigmoid_is_bit_identical_to_scipy_expit() -> None:
+    from scipy.special import expit
+
+    rng = np.random.default_rng(20)
+    scales = [1e-8, 1e-4, 0.1, 1.0, 10.0, 37.0, 100.0, 800.0]
+    edges = [1e308, 709.8, 745.3, 0.0, 710.0, 36.8, 1e-300, 5e-324, np.inf]
+    x = np.concatenate([s * rng.standard_normal(20_000) for s in scales]
+                       + [np.array(edges), -np.array(edges)])
+    assert np.array_equal(_sigmoid(x).view(np.int64), expit(x).view(np.int64))
+    assert _sigmoid(np.array([])).shape == (0,)
 
 
 def test_backprop_matches_finite_differences() -> None:

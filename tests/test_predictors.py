@@ -308,6 +308,17 @@ def test_map_on_cores_calls_run_under_the_callers_numpy_error_state(monkeypatch)
             assert map_on_cores(np.exp, [1000.0, 0.0]) == [np.inf, 1.0]
 
 
+def _train_then_report_scipy(train: LabeledSet, member: int) -> bool:
+    _train_member(train, TrainConfig(epochs=2, batch_size=32), member)
+    return "scipy" in sys.modules
+
+
+def test_training_workers_never_import_scipy(monkeypatch) -> None:
+    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
+    task = partial(_train_then_report_scipy, small_train_set())
+    assert map_on_cores(task, [0, 1]) == [False, False]
+
+
 class PickleCountingAbs:
     """abs, counting in this process how often it is pickled."""
 
