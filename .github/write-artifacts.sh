@@ -5,10 +5,11 @@
 #   bash .github/write-artifacts.sh SRC_DIR OUT_DIR
 #
 # Every dataset kind and split, each oracle command, non-default scoring
-# conventions, the 200003-row oracle layout (three record blocks plus a
-# remainder), and a trained ensemble with each command that takes it, at
-# 135169 rows too (two blocks, the second ending in a merged 4097-row
-# chunk).  A second ensemble trains on 1024 rows, 8 batches per epoch, so
+# conventions, the smallest record blocks (1, 2 and 49 rows; 49 is a size
+# where the sparsification grid floors some removal counts below k), the
+# 200003-row oracle layout (three record blocks plus a remainder), and a
+# trained ensemble with each command that takes it, at 135169 rows too
+# (two blocks, the second ending in a merged 4097-row chunk).  A second ensemble trains on 1024 rows, 8 batches per epoch, so
 # its bytes cover 800 optimizer steps per member.  The bias runs score
 # their replicates in worker processes.
 # Commands run inside OUT_DIR with relative --out paths, so the manifests
@@ -34,6 +35,9 @@ for kind in homoscedastic heteroscedastic multimodal epistemic; do
 done
 uqeval eval --dataset heteroscedastic --n 4099 --thresholds 7 \
   --weights uniform --tie-mode average --out eval-conventions.csv
+uqeval eval --dataset heteroscedastic --n 1 --out eval-1.csv
+uqeval eval --dataset heteroscedastic --n 2 --out eval-2.csv
+uqeval sparsify --dataset homoscedastic --n 49 --out sparsify-49.csv
 uqeval sparsify --dataset multimodal --n 200003 --out sparsify-blocks.csv
 uqeval eval --dataset multimodal --n 200003 --out eval-blocks.csv
 uqeval bias --replicates 3 --out bias.csv

@@ -286,10 +286,11 @@ def _cmd_density_grid(args, argv) -> None:
                          f"got --x-min {x_min} --x-max {x_max}")
     if x_min >= x_max or args.y_min >= args.y_max:
         raise UsageError("error: empty density grid")
-    xs = np.linspace(x_min, x_max, args.nx)
-    ys = np.linspace(args.y_min, args.y_max, args.ny)
-    try:
-        chunks = density_grid_csv(predictor, xs, ys)
+    try:  # a non-finite grid or density is the usage error below, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = np.linspace(x_min, x_max, args.nx)
+            ys = np.linspace(args.y_min, args.y_max, args.ny)
+            chunks = density_grid_csv(predictor, xs, ys)
     except ValueError as exc:  # non-finite or overflowing bounds, or values far outside the data
         raise UsageError(f"error: the log predictive density is not finite on --x-min {x_min} "
                          f"--x-max {x_max} --y-min {args.y_min} --y-max {args.y_max} ({exc})") from exc

@@ -2,8 +2,10 @@
 
 Parameters may be scalars or numpy arrays; array-valued parameters
 represent one independent distribution per element, and all density,
-CDF and moment operations broadcast.  Variances are floored at
-VARIANCE_FLOOR on construction so log densities stay finite.
+CDF and moment operations broadcast.  Parameters, moments, densities
+and CDFs are numpy values: arrays, or 0-d arrays and numpy scalars for
+scalar inputs.  Variances are floored at VARIANCE_FLOOR on construction
+so log densities stay finite.
 
 The normal CDF uses scipy's ndtr (the platform erf), whose absolute
 error is far below the 1e-7 the interface promises.  `ndtr` and
@@ -21,38 +23,35 @@ VARIANCE_FLOOR = 1e-12
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
-def _as_param(value) -> np.ndarray | float:
+def _as_param(value) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("distribution parameters must be finite")
-    return arr if arr.ndim else float(arr)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class Gaussian:
     """Normal distribution(s) with given mean and variance."""
 
-    mean: np.ndarray | float
-    variance: np.ndarray | float
+    mean: np.ndarray
+    variance: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "mean", _as_param(self.mean))
-        var = np.maximum(_as_param(self.variance), VARIANCE_FLOOR)
-        object.__setattr__(self, "variance", var if np.ndim(var) else float(var))
+        object.__setattr__(self, "variance", np.maximum(_as_param(self.variance), VARIANCE_FLOOR))
 
-    def log_density(self, y) -> np.ndarray | float:
+    def log_density(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
-        out = -0.5 * (_LOG_2PI + np.log(self.variance)) - (y - self.mean) ** 2 / (
+        return -0.5 * (_LOG_2PI + np.log(self.variance)) - (y - self.mean) ** 2 / (
             2.0 * self.variance
         )
-        return out if out.ndim else float(out)
 
-    def cdf(self, y) -> np.ndarray | float:
+    def cdf(self, y) -> np.ndarray:
         from scipy.special import ndtr
 
         y = np.asarray(y, dtype=np.float64)
-        out = ndtr((y - self.mean) / np.sqrt(self.variance))
-        return out if np.ndim(out) else float(out)
+        return ndtr((y - self.mean) / np.sqrt(self.variance))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,33 +73,28 @@ class GaussianMixture:
         object.__setattr__(self, "components", tuple(self.components))
 
     @property
-    def mean(self) -> np.ndarray | float:
-        out = sum(w * np.asarray(c.mean) for w, c in zip(self.weights, self.components))
-        return out if np.ndim(out) else float(out)
+    def mean(self) -> np.ndarray:
+        return sum(w * c.mean for w, c in zip(self.weights, self.components))
 
     @property
-    def variance(self) -> np.ndarray | float:
+    def variance(self) -> np.ndarray:
         m = self.mean
         second = sum(
-            w * (np.asarray(c.variance) + np.asarray(c.mean) ** 2)
-            for w, c in zip(self.weights, self.components)
+            w * (c.variance + c.mean**2) for w, c in zip(self.weights, self.components)
         )
-        out = second - np.asarray(m) ** 2
-        return out if np.ndim(out) else float(out)
+        return second - m**2
 
-    def log_density(self, y) -> np.ndarray | float:
+    def log_density(self, y) -> np.ndarray:
         from scipy.special import logsumexp
 
         # log-sum-exp over components; stable when some components underflow
-        parts = [np.asarray(c.log_density(y)) for c in self.components]
+        parts = [c.log_density(y) for c in self.components]
         stacked = np.stack(np.broadcast_arrays(*parts))
         shape = (len(self.components),) + (1,) * (stacked.ndim - 1)
-        out = logsumexp(stacked, axis=0, b=self.weights.reshape(shape))
-        return out if np.ndim(out) else float(out)
+        return logsumexp(stacked, axis=0, b=self.weights.reshape(shape))
 
-    def cdf(self, y) -> np.ndarray | float:
-        out = sum(w * np.asarray(c.cdf(y)) for w, c in zip(self.weights, self.components))
-        return out if np.ndim(out) else float(out)
+    def cdf(self, y) -> np.ndarray:
+        return sum(w * c.cdf(y) for w, c in zip(self.weights, self.components))
 
 
 def moment_match(mixture: GaussianMixture) -> Gaussian:

@@ -127,29 +127,25 @@ def _removal_curve(ordered: np.ndarray, total: float, removed: np.ndarray) -> np
     return retained_mean / (total / n)
 
 
-def sparsification_curve(
-    records: EvaluationRecords, grid_size: int | None = None, tie_seed: int = 0
-) -> SparsificationCurve:
-    """Removal curves on the fraction grid k / grid_size, k = 0..grid_size-1.
+def sparsification_curve(records: EvaluationRecords, tie_seed: int = 0) -> SparsificationCurve:
+    """Removal curves on the full fraction grid k / N, k = 0..N-1.
 
-    Ordering ties (notably constant uncertainties) are broken by a seeded
-    uniform shuffle applied before a stable descending sort, so the result
-    is deterministic in (records, grid_size, tie_seed).  Tied errors are
-    equal values, so the oracle curve only needs the sorted errors.  The
-    total is summed in shuffled order, which fixes its last bits.
+    The removed count is floor(k / N * N), which is k - 1 for the k whose
+    quotient rounds down (k = 1 at N = 49, say).  Ordering ties (notably
+    constant uncertainties) are broken by a seeded uniform shuffle applied
+    before a stable descending sort, so the result is deterministic in
+    (records, tie_seed).  Tied errors are equal values, so the oracle
+    curve only needs the sorted errors.  The total is summed in shuffled
+    order, which fixes its last bits.
     """
     _require_nonempty(records)
     n = len(records)
-    k = n if grid_size is None else int(grid_size)
-    if not 1 <= k <= n:
-        raise ValueError(f"grid_size must be in [1, {n}]")
-
     perm = make_rng(derive_seed(tie_seed, TAG_TIEBREAK)).permutation(n)
     errors = records.abs_errors[perm]
     total = float(errors.sum())
     order_by_u = _stable_order(-records.uncertainties[perm])
 
-    fractions = np.arange(k) / k
+    fractions = np.arange(n) / n
     removed = np.floor(fractions * n).astype(np.int64)
     return SparsificationCurve(
         fractions=fractions,
@@ -158,9 +154,9 @@ def sparsification_curve(
     )
 
 
-def ause(records: EvaluationRecords, grid_size: int | None = None, tie_seed: int = 0) -> float:
+def ause(records: EvaluationRecords, tie_seed: int = 0) -> float:
     """Mean gap between the two sparsification curves (left Riemann sum)."""
-    curve = sparsification_curve(records, grid_size, tie_seed)
+    curve = sparsification_curve(records, tie_seed)
     return float(np.mean(curve.by_uncertainty - curve.by_oracle))
 
 

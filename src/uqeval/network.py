@@ -108,27 +108,30 @@ def row_blocks(n: int, rows: int) -> list[int]:
     return [i * rows for i in range(max(1, n // rows))] + [n]
 
 
-def forward(params: MlpParams, x: np.ndarray) -> Gaussian:
-    """Predictive distribution at the given inputs.
+def _work_buffers(n: int) -> list[np.ndarray]:
+    """The two work buffers `forward` uses on n rows, as wide as its last (widest) chunk."""
+    bounds = row_blocks(n, FORWARD_CHUNK_ROWS)
+    return [np.empty((bounds[-1] - bounds[-2], LAYER_SIZES[1])) for _ in range(2)]
+
+
+def forward(params: MlpParams, x: np.ndarray, bufs: list[np.ndarray] | None = None) -> Gaussian:
+    """Predictive distribution at the given inputs, one row per element of x.
 
     Inference-only: rows run through the layer chain in fixed chunks of
     FORWARD_CHUNK_ROWS using two reused work buffers, so memory beyond the
     (N, 2) output stays constant in N; the result is bit-identical to one
-    `_forward_hidden` pass over all rows.
+    `_forward_hidden` pass over all rows.  Calls on the same rows may share
+    the buffers: pass `_work_buffers(x.size)` as `bufs`.
     """
     x_rows = np.asarray(x, dtype=np.float64).reshape(-1, 1)
     bounds = row_blocks(len(x_rows), FORWARD_CHUNK_ROWS)
-    width = bounds[-1] - bounds[-2]  # the last chunk is the widest
-    bufs = [np.empty((width, LAYER_SIZES[1])) for _ in range(2)]
+    if bufs is None:
+        bufs = _work_buffers(len(x_rows))
     out = np.empty((len(x_rows), LAYER_SIZES[-1]))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         *_, h = _hidden_layers(params, x_rows[lo:hi], bufs)
         _output_layer(params, h, out=out[lo:hi])
-    mean = out[:, 0]
-    var = variance_from_raw(out[:, 1])
-    if np.ndim(x) == 0:
-        return Gaussian(float(mean[0]), float(var[0]))
-    return Gaussian(mean, var)
+    return Gaussian(out[:, 0], variance_from_raw(out[:, 1]))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from .network import (
     LEARNING_RATE,
     AdamState,
     MlpParams,
+    _work_buffers,
     adam_step,
     forward,
     init_params,
@@ -91,13 +92,10 @@ class ScaledUncertaintyPredictor:
         dist = self.base.predict(x)
         s2 = self.scale**2
         if isinstance(dist, Gaussian):
-            return Gaussian(dist.mean, np.asarray(dist.variance) * s2)
+            return Gaussian(dist.mean, dist.variance * s2)
         center = dist.mean
         comps = tuple(
-            Gaussian(
-                center + self.scale * (np.asarray(c.mean) - center),
-                np.asarray(c.variance) * s2,
-            )
+            Gaussian(center + self.scale * (c.mean - center), c.variance * s2)
             for c in dist.components
         )
         return GaussianMixture(dist.weights, comps)
@@ -129,7 +127,14 @@ class EnsemblePredictor:
     history: tuple[tuple[float, ...], ...]  # mean training loss per member, per epoch
 
     def predict(self, x) -> Gaussian:
-        comps = tuple(forward(params, x) for params in self.members)
+        # One pair of work buffers serves every member and is freed before the
+        # moments are matched.  Freeing a first pair raises glibc's mmap
+        # threshold, so pairs allocated per member came from the heap, whose
+        # freed pages a later live block can pin: `eval --predictor ensemble`
+        # at 2^16 rows then peaked at ~92 MiB, not ~80.5, in some layouts.
+        bufs = _work_buffers(np.size(x))
+        comps = tuple(forward(params, x, bufs) for params in self.members)
+        del bufs
         return moment_match(GaussianMixture(np.full(len(comps), 1.0 / len(comps)), comps))
 
 
@@ -314,10 +319,11 @@ def load_ensemble(path) -> EnsemblePredictor:
 
     A truncated archive, a malformed config (a value that is not the JSON
     integer or number `save_ensemble` writes, say), a missing or
-    mis-shaped parameter array, a non-finite parameter, a member array
-    beyond the configured ensemble size, or a loss history whose shape is
-    not (ensemble_size, epochs) raises ValueError naming the file and the
-    entry, before any inference runs.
+    mis-shaped parameter array, a non-finite parameter, any array
+    `save_ensemble` does not write for the configured ensemble size, or a
+    loss history that is not finite float64 of shape (ensemble_size,
+    epochs) raises ValueError naming the file and the entry, before any
+    inference runs.
     """
     try:
         with np.load(path) as archive:
@@ -356,20 +362,20 @@ def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
     if fmt != ENSEMBLE_FORMAT:
         raise ValueError(f"model file {path}: unsupported model format {fmt!r}")
     config = _config_from_json(str(_entry(archive, "config_json", path)), path)
-    extra = sorted(key for key in archive.files if key.startswith(f"member{config.ensemble_size}_"))
-    if extra:
-        raise ValueError(f"model file {path}: array {extra[0]!r} is beyond the "
-                         f"{config.ensemble_size} members config_json declares")
-    members = []
     layers = list(enumerate(zip(LAYER_SIZES[:-1], LAYER_SIZES[1:])))
+    written = {"format", "config_json", "history"} | {
+        f"member{j}_{p}{i}" for j in range(config.ensemble_size) for i, _ in layers for p in "wb"
+    }
+    unexpected = sorted(set(archive.files) - written)
+    if unexpected:
+        raise ValueError(f"model file {path}: array {unexpected[0]!r} is not one save_ensemble "
+                         f"writes for the {config.ensemble_size} members config_json declares")
+    members = []
     for j in range(config.ensemble_size):
         weights = [_param_entry(archive, f"member{j}_w{i}", shape, path) for i, shape in layers]
         biases = [_param_entry(archive, f"member{j}_b{i}", shape[1:], path) for i, shape in layers]
         members.append(MlpParams(weights, biases))
-    history = _entry(archive, "history", path)
-    if history.shape != (config.ensemble_size, config.epochs):
-        raise ValueError(f"model file {path}: array 'history' is {history.shape}, expected "
-                         f"(ensemble_size, epochs) = {(config.ensemble_size, config.epochs)}")
+    history = _param_entry(archive, "history", (config.ensemble_size, config.epochs), path)
     return EnsemblePredictor(tuple(members), config, tuple(tuple(row) for row in history))
 
 
@@ -378,14 +384,7 @@ def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
 def _score(predictor, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
     """Record fields (abs error, variance, log density, PIT) of one row block."""
     dist = predictor.predict(xs)
-    n = len(xs)
-    mean = np.broadcast_to(np.asarray(dist.mean, dtype=np.float64), (n,))
-    return (
-        np.abs(ys - mean),
-        np.broadcast_to(np.asarray(dist.variance, dtype=np.float64), (n,)),
-        np.broadcast_to(np.asarray(dist.log_density(ys)), (n,)),
-        np.broadcast_to(np.asarray(dist.cdf(ys)), (n,)),
-    )
+    return np.abs(ys - dist.mean), dist.variance, dist.log_density(ys), dist.cdf(ys)
 
 
 def make_records(predictor, data: LabeledSet) -> EvaluationRecords:
@@ -393,13 +392,11 @@ def make_records(predictor, data: LabeledSet) -> EvaluationRecords:
 
     Rows are scored in blocks of RECORD_BLOCK_ROWS (see `row_blocks`), so
     predictive temporaries, per-member network outputs included, stay
-    constant in N; each block is written into the record arrays.  A single
-    block is used as is.  The block size is a multiple of the network's
-    chunk size, so every field is bit-identical to one pass over all rows.
+    constant in N; each block is written into the record arrays.  The
+    block size is a multiple of the network's chunk size, so every field is
+    bit-identical to one pass over all rows.
     """
     bounds = row_blocks(len(data), RECORD_BLOCK_ROWS)
-    if len(bounds) == 2:
-        return EvaluationRecords(*_score(predictor, data.xs, data.ys))
     fields = [np.empty(len(data)) for _ in range(4)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         for column, block in zip(fields, _score(predictor, data.xs[lo:hi], data.ys[lo:hi])):
@@ -412,5 +409,4 @@ def log_density_grid(predictor, x_values: np.ndarray, y_values: np.ndarray) -> n
     x_values = np.asarray(x_values, dtype=np.float64)
     y_values = np.asarray(y_values, dtype=np.float64)
     dist = predictor.predict(x_values)
-    z = np.asarray(dist.log_density(y_values[:, None]))  # (ny, nx)
-    return np.broadcast_to(z, (len(y_values), len(x_values))).T
+    return dist.log_density(y_values[:, None]).T

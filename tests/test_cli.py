@@ -94,6 +94,18 @@ def _grid_error(x_min, x_max, y_min, y_max) -> str:
             f"--x-max {float(x_max)} --y-min {float(y_min)} --y-max {float(y_max)} (")
 
 
+def _run_printing_warnings(argv) -> int:
+    """run(argv) with every warning printed to stderr, as a fresh interpreter prints it."""
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        return run(argv)
+
+
 @pytest.mark.parametrize("predictor", ["oracle", "ensemble"])
 @pytest.mark.parametrize("flag, value", [("--x-min", "nan"), ("--x-max", "inf"), ("--y-min", "nan"),
                                          ("--y-max", "inf"), ("--y-min", "-inf")])
@@ -102,9 +114,9 @@ def test_non_finite_density_grid_bounds_are_usage_errors(tmp_path, capsys, model
     argv = ["density-grid", "--dataset", "multimodal", "--nx", "2", "--ny", "2", f"{flag}={value}",
             "--predictor", predictor, "--model-path", str(model_path),
             "--out", str(tmp_path / "g.csv")]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(argv) == 1
+    assert _run_printing_warnings(argv) == 1
     err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
     if not (predictor == "oracle" and flag.startswith("--x")):  # outside the oracle's domain
         x_min, x_max = DatasetKind.MULTIMODAL.domain
         bounds = {"--x-min": x_min, "--x-max": x_max, "--y-min": -2.0, "--y-max": 2.0, flag: value}
@@ -118,9 +130,10 @@ def test_overflowing_density_grid_span_is_a_usage_error(tmp_path, capsys, model_
     argv = ["density-grid", "--dataset", "multimodal", "--nx", "2", "--ny", "3",
             "--y-min=-1e308", "--y-max", "1e308", "--predictor", predictor,
             "--model-path", str(model_path), "--out", str(tmp_path / "big.csv")]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(argv) == 1
-    assert _grid_error(*DatasetKind.MULTIMODAL.domain, -1e308, 1e308) in capsys.readouterr().err
+    assert _run_printing_warnings(argv) == 1
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert _grid_error(*DatasetKind.MULTIMODAL.domain, -1e308, 1e308) in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -131,9 +144,9 @@ def test_density_grid_whose_density_underflows_is_a_usage_error(tmp_path, capsys
     argv = ["density-grid", "--dataset", "homoscedastic", "--y-min=-1e200", "--y-max", "1e200",
             "--nx", "3", "--ny", "2", "--predictor", predictor, "--model-path", str(model_path),
             "--out", str(tmp_path / "grid.csv")]
-    with np.errstate(over="ignore"):
-        assert run(argv) == 1
+    assert _run_printing_warnings(argv) == 1
     err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
     assert _grid_error(-1, 1, -1e200, 1e200) + "log density -inf at x -1.0, y -1e+200)" in err
     assert list(tmp_path.iterdir()) == []
 
@@ -272,12 +285,14 @@ def test_density_grid_where_the_ensemble_overflows_is_a_usage_error(
     tmp_path, model_path, capsys, bound
 ) -> None:
     grid = tmp_path / "grid.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["density-grid", "--dataset", "homoscedastic", "--predictor", "ensemble",
-                    "--model-path", str(model_path), f"--x-min=-{bound}", "--x-max", bound,
-                    "--nx", "3", "--ny", "2", "--out", str(grid)])
+    code = _run_printing_warnings(
+        ["density-grid", "--dataset", "homoscedastic", "--predictor", "ensemble",
+         "--model-path", str(model_path), f"--x-min=-{bound}", "--x-max", bound,
+         "--nx", "3", "--ny", "2", "--out", str(grid)])
     assert code == 1
-    assert _grid_error(f"-{bound}", bound, -2, 2) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert _grid_error(f"-{bound}", bound, -2, 2) in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -355,6 +370,11 @@ def _wrong_shape(arrays) -> None:
     arrays["member0_w1"] = arrays["member0_w1"][:, :128]
 
 
+def _nan_history(arrays) -> None:
+    arrays["history"] = arrays["history"].copy()
+    arrays["history"][3, 19] = np.nan
+
+
 def _edit_config(arrays, **changes) -> None:
     """Sets config_json keys to the given values; None removes the key."""
     meta = json.loads(str(arrays["config_json"]))
@@ -386,13 +406,21 @@ def _edit_config(arrays, **changes) -> None:
         (partial(_edit_config, beta1=True), "config_json 'beta1' must be a finite number, got True"),
         (partial(_edit_config, eps=float("nan")), "config_json 'eps' must be a finite number, got nan"),
         (lambda arrays: arrays.update(history=arrays["history"][:, :19]),
-         "array 'history' is (5, 19), expected (ensemble_size, epochs) = (5, 20)"),
+         "array 'history' is float64 (5, 19), expected float64 (5, 20)"),
+        (lambda arrays: arrays.update(history=arrays["history"].astype(str)),
+         "array 'history' is <U"),
+        (_nan_history, "array 'history' has non-finite values"),
         (partial(_edit_config, ensemble_size=4),
-         "array 'member4_b0' is beyond the 4 members config_json declares"),
+         "array 'member4_b0' is not one save_ensemble writes for the 4 members config_json declares"),
+        (lambda arrays: arrays.update(member7_w0=arrays["member0_w0"]),
+         "array 'member7_w0' is not one save_ensemble writes for the 5 members config_json declares"),
+        (lambda arrays: arrays.update(notes=np.array("hand edited")),
+         "array 'notes' is not one save_ensemble writes for the 5 members config_json declares"),
     ],
     ids=["nan-weight", "missing-key", "wrong-shape", "bad-config", "zero-epochs", "no-eps",
          "float-epochs", "string-epochs", "bool-epochs", "float-ensemble-size", "float-batch-size",
-         "bool-seed", "string-learning-rate", "bool-beta1", "nan-eps", "short-history", "extra-member"],
+         "bool-seed", "string-learning-rate", "bool-beta1", "nan-eps", "short-history",
+         "string-history", "nan-history", "extra-member", "skipped-member", "stray-key"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, model_path, capsys, edit, problem) -> None:
     bad = tmp_path / "bad.npz"

@@ -17,7 +17,7 @@ import pytest
 from uqeval.datasets import DatasetKind, DomainError, LabeledSet, Split, generate
 from uqeval.distributions import Gaussian, GaussianMixture, VARIANCE_FLOOR
 from uqeval.metrics import nll
-from uqeval import predictors
+from uqeval import network, predictors
 from uqeval.network import forward
 from uqeval.predictors import (
     ENSEMBLE_FORMAT,
@@ -229,6 +229,40 @@ def test_predict_is_moment_matched_member_mixture() -> None:
     var = (variances + means**2).mean(axis=0) - mean**2
     assert np.allclose(dist.mean, mean, rtol=1e-12)
     assert np.allclose(dist.variance, var, rtol=1e-12)
+
+
+PREDICTORS = {
+    **{kind.value: (kind, lambda kind=kind: TrueDistributionPredictor(kind)) for kind in ALL_KINDS},
+    **{f"scaled-{kind.value}": (kind, lambda kind=kind: ScaledUncertaintyPredictor(
+        TrueDistributionPredictor(kind), 2.0)) for kind in ALL_KINDS},
+    "ensemble": (DatasetKind.HOMOSCEDASTIC, lambda: train_ensemble(
+        small_train_set(), TrainConfig(ensemble_size=2, epochs=1, batch_size=64, seed=0))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("name", sorted(PREDICTORS))
+def test_predictions_hold_one_value_per_input_row(name, n) -> None:
+    # make_records and log_density_grid use these arrays as they are
+    kind, build = PREDICTORS[name]
+    data = generate(kind, Split.TEST, n, 5)
+    dist = build().predict(data.xs)
+    for value in (dist.mean, dist.variance, dist.log_density(data.ys), dist.cdf(data.ys)):
+        assert isinstance(value, np.ndarray) and value.shape == (n,)
+
+
+def test_predict_shares_one_pair_of_work_buffers_across_members(monkeypatch) -> None:
+    de = train_ensemble(small_train_set(), TrainConfig(ensemble_size=3, epochs=1, batch_size=64))
+    sizes, make = [], network._work_buffers
+
+    def counting(n):
+        sizes.append(n)
+        return make(n)
+
+    monkeypatch.setattr(predictors, "_work_buffers", counting)
+    monkeypatch.setattr(network, "_work_buffers", counting)
+    de.predict(np.linspace(-1, 1, 17))
+    assert sizes == [17]
 
 
 @pytest.mark.parametrize("n", [2 * B - 1, 2 * B + 1])
