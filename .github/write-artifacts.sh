@@ -5,13 +5,15 @@
 #   bash .github/write-artifacts.sh SRC_DIR OUT_DIR
 #
 # Every dataset kind and split, each oracle command, non-default scoring
-# conventions, the smallest record blocks (1, 2 and 49 rows; 49 is a size
-# where the sparsification grid floors some removal counts below k), the
-# 200003-row oracle layout (three record blocks plus a remainder), and a
-# trained ensemble with each command that takes it, at 135169 rows too
-# (two blocks, the second ending in a merged 4097-row chunk).  A second ensemble trains on 1024 rows, 8 batches per epoch, so
-# its bytes cover 800 optimizer steps per member.  The bias runs score
-# their replicates in worker processes.
+# conventions and the smallest threshold count (2), the smallest record
+# blocks (1, 2 and 49 rows; 49 is a size where the sparsification grid
+# floors some removal counts below k), the 200003-row oracle layout (three
+# record blocks plus a remainder), and a trained ensemble with each command
+# that takes it, at 135169 rows too (two blocks, the second ending in a
+# merged 4097-row chunk).  A second ensemble trains on 1024 rows, 8 batches
+# per epoch, so its bytes cover 800 optimizer steps per member.  The bias
+# runs score their replicates in worker processes, except `--replicates 1`,
+# which scores in-process; the homoscedastic stability CSV holds `nan` cells.
 # Commands run inside OUT_DIR with relative --out paths, so the manifests
 # of two runs compare too.  BLAS settings come from the caller's environment.
 set -euo pipefail
@@ -35,13 +37,16 @@ for kind in homoscedastic heteroscedastic multimodal epistemic; do
 done
 uqeval eval --dataset heteroscedastic --n 4099 --thresholds 7 \
   --weights uniform --tie-mode average --out eval-conventions.csv
+uqeval eval --dataset heteroscedastic --n 4099 --thresholds 2 --out eval-thresholds-2.csv
 uqeval eval --dataset heteroscedastic --n 1 --out eval-1.csv
 uqeval eval --dataset heteroscedastic --n 2 --out eval-2.csv
 uqeval sparsify --dataset homoscedastic --n 49 --out sparsify-49.csv
 uqeval sparsify --dataset multimodal --n 200003 --out sparsify-blocks.csv
 uqeval eval --dataset multimodal --n 200003 --out eval-blocks.csv
 uqeval bias --replicates 3 --out bias.csv
+uqeval bias --replicates 1 --out bias-1.csv
 uqeval stability --out stability.csv
+uqeval stability --dataset homoscedastic --out stability-homoscedastic.csv
 
 uqeval train --dataset homoscedastic --n 128 --out model.npz
 ensemble=(--dataset homoscedastic --predictor ensemble --model-path model.npz)

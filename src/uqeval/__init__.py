@@ -38,7 +38,6 @@ from .predictors import (
     TrainingDivergedError,
     TrueDistributionPredictor,
     load_ensemble,
-    log_density_grid,
     make_records,
     save_ensemble,
     train_ensemble,

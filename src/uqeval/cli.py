@@ -71,22 +71,25 @@ def _int_at_least(low: int):
     return parse
 
 
+_DEFAULTS = EvalConfig()
+_DEFAULT_CONVENTIONS = (f"Scored with eval's default conventions: {_DEFAULTS.thresholds} "
+                        f"thresholds, {_DEFAULTS.weight_mode.value} weights, "
+                        f"{_DEFAULTS.rank_tie_mode.value} rank ties.")
+
+
 def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--thresholds", type=_int_at_least(2), default=100, metavar="M",
-                        help="number of calibration thresholds (default 100)")
+    parser.add_argument("--thresholds", type=_int_at_least(2), default=_DEFAULTS.thresholds,
+                        metavar="M", help="number of evenly spaced calibration levels "
+                                          f"in [0, 1] (default {_DEFAULTS.thresholds})")
     parser.add_argument("--weights", choices=[m.value for m in WeightMode],
-                        default=WeightMode.PAPER.value, help="calibration weighting")
+                        default=_DEFAULTS.weight_mode.value, help="calibration weighting")
     parser.add_argument("--tie-mode", choices=[m.value for m in RankTieMode],
-                        default=RankTieMode.PAPER.value, help="rank tie handling")
-
-
-_DEFAULT_CONVENTIONS = ("Scored with eval's default conventions: 100 thresholds, "
-                        "paper weights, paper rank ties.")
+                        default=_DEFAULTS.rank_tie_mode.value, help="rank tie handling")
 
 
 def _add_predictor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--predictor", choices=["oracle", "ensemble"], default="oracle")
-    parser.add_argument("--model-path", help="trained model file (required for ensemble)")
+    parser.add_argument("--model-path", help="trained model file (ensemble only; required there)")
 
 
 def build_parser() -> _Parser:
@@ -156,6 +159,8 @@ def build_parser() -> _Parser:
 def _predictor(args) -> tuple[object, dict]:
     kind = DatasetKind(args.dataset)
     if args.predictor == "oracle":
+        if args.model_path is not None:
+            raise UsageError("error: --model-path is read only with --predictor ensemble")
         return TrueDistributionPredictor(kind), {"predictor": "oracle"}
     if not args.model_path:
         raise UsageError("error: --model-path is required with --predictor ensemble")
@@ -167,8 +172,7 @@ def _predictor(args) -> tuple[object, dict]:
 
 
 def _eval_config(args) -> EvalConfig:
-    return EvalConfig(np.linspace(0.0, 1.0, args.thresholds), WeightMode(args.weights),
-                      RankTieMode(args.tie_mode))
+    return EvalConfig(args.thresholds, WeightMode(args.weights), RankTieMode(args.tie_mode))
 
 
 def _replace_atomically(path: str, write) -> None:

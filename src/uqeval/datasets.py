@@ -56,14 +56,14 @@ class Split(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class LabeledSet:
-    """Immutable paired samples (xs[i], ys[i])."""
+    """Immutable paired samples (xs[i], ys[i]), held as read-only float64 views."""
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.float64)
-        ys = np.asarray(self.ys, dtype=np.float64)
+        xs = np.asarray(self.xs, dtype=np.float64).view()
+        ys = np.asarray(self.ys, dtype=np.float64).view()
         if xs.ndim != 1 or ys.ndim != 1 or len(xs) != len(ys):
             raise ValueError("xs and ys must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
@@ -127,14 +127,15 @@ def generate(kind: DatasetKind, split: Split, n: int, seed: int) -> LabeledSet:
 
 
 def csv_rows(*columns) -> str:
-    """One CSV line per row of equal-length float columns.
+    """One CSV line per row of equal-length columns.
 
-    repr() keeps full round-trip precision; `.tolist()` hands the format
-    plain Python floats, whose repr is the shortest exact one.  `%`
-    formatting of row tuples takes about 15% less CPU than `str.format`.
+    Each cell is the repr of the Python number `.tolist()` makes of it:
+    float64 cells give the shortest exact float repr, integer cells plain
+    digits.  `%` formatting of row tuples takes about 15% less CPU than
+    `str.format`.
     """
     line = ",".join(["%r"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
     return "".join([line % row for row in rows])
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .datasets import CSV_BLOCK_ROWS, DatasetKind, Split, csv_chunks, csv_rows, generate
 from .metrics import EvalConfig, MetricReport, evaluate, sparsification_curve
-from .predictors import log_density_grid, make_records, map_on_cores
+from .predictors import make_records, map_on_cores
 from .seeds import TAG_REPLICATE, TAG_SUBSET, derive_seed, make_rng
 
 SIZES = tuple(2**k for k in range(3, 17))
@@ -49,12 +49,10 @@ class StabilityResult:
     def to_csv(self, mean_prefix: bool = False) -> str:
         names = ("ause", "spearman", "nll", "ece")
         header = ",".join(["test_size"] + [("mean_" if mean_prefix else "") + c for c in names])
-        lines = [header]
-        for row in self.rows:
-            r = row.report
-            values = (r.ause, r.spearman, r.nll, r.ce)
-            lines.append(",".join([str(row.test_size)] + [repr(float(v)) for v in values]))
-        return "\n".join(lines) + "\n"
+        reports = [row.report for row in self.rows]
+        return "".join(csv_chunks(
+            header, [row.test_size for row in self.rows], [r.ause for r in reports],
+            [r.spearman for r in reports], [r.nll for r in reports], [r.ce for r in reports]))
 
 
 def convergence_experiment(
@@ -139,7 +137,7 @@ def density_grid_csv(
     """
     x_values = np.asarray(x_values, dtype=np.float64)
     y_values = np.asarray(y_values, dtype=np.float64)
-    z = log_density_grid(predictor, x_values, y_values)
+    z = predictor.predict(x_values).log_density(y_values[:, None]).T  # z[i, j] at (x[i], y[j])
     if not np.isfinite(z).all():
         i, j = np.argwhere(~np.isfinite(z))[0]
         raise ValueError(f"log density {z[i, j]} at x {x_values[i]}, y {y_values[j]}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class UndefinedMetricError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EvaluationRecords:
-    """Per-sample evaluation quantities, one array per field."""
+    """Per-sample evaluation quantities, one read-only float64 view per field."""
 
     abs_errors: np.ndarray
     uncertainties: np.ndarray
@@ -39,7 +39,7 @@ class EvaluationRecords:
         fields = {}
         n = None
         for name in ("abs_errors", "uncertainties", "log_densities", "pits"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.asarray(getattr(self, name), dtype=np.float64).view()
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-D")
             if n is None:
@@ -174,12 +174,13 @@ def calibration_error(pits: np.ndarray, config: EvalConfig | None = None) -> flo
     pits = np.asarray(pits, dtype=np.float64)
     if pits.size == 0:
         raise ValueError("empty pits")
-    observed = np.searchsorted(np.sort(pits), config.thresholds, side="right") / pits.size
+    levels = np.linspace(0.0, 1.0, config.thresholds)  # M nominal levels, built only here
+    observed = np.searchsorted(np.sort(pits), levels, side="right") / pits.size
     if config.weight_mode is WeightMode.PAPER:
         weights = observed / pits.size
     else:
-        weights = np.full(len(config.thresholds), 1.0 / len(config.thresholds))
-    return float(np.sum(weights * (config.thresholds - observed) ** 2))
+        weights = np.full(config.thresholds, 1.0 / config.thresholds)
+    return float(np.sum(weights * (levels - observed) ** 2))
 
 
 # ----------------------------------------------------------------- rank correlation
@@ -254,24 +255,18 @@ def nll(records: EvaluationRecords) -> float:
     return float(-np.mean(records.log_densities))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EvalConfig:
-    """Scoring conventions: CE thresholds and weighting, Spearman tie ranks."""
+    """Scoring conventions: CE's level count M and weighting, Spearman tie ranks."""
 
-    thresholds: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 1.0, 100))
+    thresholds: int = 100
     weight_mode: WeightMode = WeightMode.PAPER
     rank_tie_mode: RankTieMode = RankTieMode.PAPER
 
     def __post_init__(self):
-        t = np.asarray(self.thresholds, dtype=np.float64)
-        if t.ndim != 1 or len(t) == 0:
-            raise ValueError("thresholds must be a nonempty 1-D array")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("thresholds must be strictly increasing")
-        if t[0] < 0.0 or t[-1] > 1.0:
-            raise ValueError("thresholds must lie in [0, 1]")
-        t.flags.writeable = False
-        object.__setattr__(self, "thresholds", t)
+        t = self.thresholds
+        if not isinstance(t, int) or isinstance(t, bool) or t < 2:
+            raise ValueError(f"thresholds must be an int count of at least 2, got {t!r}")
 
 
 REPORT_HEADER = "dataset,predictor,ause,ce,spearman,nll"

@@ -379,7 +379,7 @@ def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
     return EnsemblePredictor(tuple(members), config, tuple(tuple(row) for row in history))
 
 
-# ----------------------------------------------------------------- records & grids
+# ----------------------------------------------------------------- records
 
 def _score(predictor, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
     """Record fields (abs error, variance, log density, PIT) of one row block."""
@@ -403,10 +403,3 @@ def make_records(predictor, data: LabeledSet) -> EvaluationRecords:
             column[lo:hi] = block
     return EvaluationRecords(*fields)
 
-
-def log_density_grid(predictor, x_values: np.ndarray, y_values: np.ndarray) -> np.ndarray:
-    """z[i, j] = log predictive density at (x_values[i], y_values[j])."""
-    x_values = np.asarray(x_values, dtype=np.float64)
-    y_values = np.asarray(y_values, dtype=np.float64)
-    dist = predictor.predict(x_values)
-    return dist.log_density(y_values[:, None]).T

@@ -106,13 +106,18 @@ def _run_printing_warnings(argv) -> int:
         return run(argv)
 
 
+def _model_flag(predictor, model_path) -> list[str]:
+    """--model-path for the ensemble; the oracle refuses it."""
+    return ["--model-path", str(model_path)] if predictor == "ensemble" else []
+
+
 @pytest.mark.parametrize("predictor", ["oracle", "ensemble"])
 @pytest.mark.parametrize("flag, value", [("--x-min", "nan"), ("--x-max", "inf"), ("--y-min", "nan"),
                                          ("--y-max", "inf"), ("--y-min", "-inf")])
 def test_non_finite_density_grid_bounds_are_usage_errors(tmp_path, capsys, model_path,
                                                          predictor, flag, value) -> None:
     argv = ["density-grid", "--dataset", "multimodal", "--nx", "2", "--ny", "2", f"{flag}={value}",
-            "--predictor", predictor, "--model-path", str(model_path),
+            "--predictor", predictor, *_model_flag(predictor, model_path),
             "--out", str(tmp_path / "g.csv")]
     assert _run_printing_warnings(argv) == 1
     err = capsys.readouterr().err
@@ -129,7 +134,7 @@ def test_overflowing_density_grid_span_is_a_usage_error(tmp_path, capsys, model_
                                                         predictor) -> None:
     argv = ["density-grid", "--dataset", "multimodal", "--nx", "2", "--ny", "3",
             "--y-min=-1e308", "--y-max", "1e308", "--predictor", predictor,
-            "--model-path", str(model_path), "--out", str(tmp_path / "big.csv")]
+            *_model_flag(predictor, model_path), "--out", str(tmp_path / "big.csv")]
     assert _run_printing_warnings(argv) == 1
     err = capsys.readouterr().err
     assert "RuntimeWarning" not in err
@@ -142,7 +147,7 @@ def test_density_grid_whose_density_underflows_is_a_usage_error(tmp_path, capsys
                                                                predictor) -> None:
     # finite bounds and span, but at y = -1e200 the log density is -inf
     argv = ["density-grid", "--dataset", "homoscedastic", "--y-min=-1e200", "--y-max", "1e200",
-            "--nx", "3", "--ny", "2", "--predictor", predictor, "--model-path", str(model_path),
+            "--nx", "3", "--ny", "2", "--predictor", predictor, *_model_flag(predictor, model_path),
             "--out", str(tmp_path / "grid.csv")]
     assert _run_printing_warnings(argv) == 1
     err = capsys.readouterr().err
@@ -168,6 +173,19 @@ def test_generate_accepts_zero_rows(tmp_path) -> None:
 def test_eval_requires_model_path_for_ensemble(capsys) -> None:
     assert run(["eval", "--dataset", "multimodal", "--predictor", "ensemble"]) == 1
     assert "--model-path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["model", "missing"])
+@pytest.mark.parametrize("command", ["eval", "stability", "bias", "sparsify", "density-grid"])
+def test_model_path_without_ensemble_is_a_usage_error(tmp_path, capsys, model_path,
+                                                      command, exists) -> None:
+    path = model_path if exists else tmp_path / "missing.npz"
+    for predictor in ([], ["--predictor", "oracle"]):  # the default predictor, then named
+        argv = [command, "--dataset", "homoscedastic", *predictor, "--model-path", str(path),
+                "--out", str(tmp_path / "out.csv")]
+        assert run(argv) == 1
+        assert "--model-path is read only with --predictor ensemble" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runtime_failures_exit_2(tmp_path, capsys) -> None:

@@ -150,6 +150,16 @@ def test_labeled_set_validation_and_immutability() -> None:
         data.xs[0] = 2.0
 
 
+def test_labeled_set_leaves_the_callers_arrays_writable() -> None:
+    xs, ys = np.array([0.5, 0.25]), np.array([1.0, 2.0])
+    data = LabeledSet(xs, ys)
+    assert xs.flags.writeable and ys.flags.writeable
+    assert np.shares_memory(data.xs, xs) and np.shares_memory(data.ys, ys)  # no copy
+    for stored in (data.xs, data.ys):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0
+
+
 def test_csv_round_trip(tmp_path) -> None:
     data = generate(DatasetKind.HETEROSCEDASTIC, Split.TEST, 100, 13)
     path = tmp_path / "data.csv"

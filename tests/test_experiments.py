@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from uqeval.experiments import (
 from uqeval.predictors import (
     TrainConfig,
     TrueDistributionPredictor,
-    log_density_grid,
     make_records,
     train_ensemble,
 )
@@ -94,6 +94,8 @@ def test_stability_csv_format_and_nan_marker() -> None:
     cells = lines[1].split(",")
     assert cells[0] == "32"
     assert cells[2] == "nan"
+    values = (report.ause, report.spearman, report.nll, report.ce)
+    assert [struct.pack("<d", float(c)) for c in cells[1:]] == [struct.pack("<d", v) for v in values]
     assert result.to_csv(mean_prefix=True).startswith(
         "test_size,mean_ause,mean_spearman,mean_nll,mean_ece"
     )
@@ -148,7 +150,7 @@ def _tiny_ensemble():
 
 BIAS_CASES = {
     "oracle-uniform-average-7": lambda: (ORACLE_HET, 4, (8, 64), EvalConfig(
-        np.linspace(0.0, 1.0, 7), WeightMode.UNIFORM, RankTieMode.AVERAGE)),
+        7, WeightMode.UNIFORM, RankTieMode.AVERAGE)),
     "tiny-ensemble": lambda: (_tiny_ensemble(), 3, (8, 64), None),
     "three-replicates": lambda: (ORACLE_HET, 3, (8, 64, 4097), None),
 }
@@ -239,7 +241,7 @@ def string_built_sparsification_csv(predictor, kind, base_seed, n) -> str:
 
 def string_built_density_grid_csv(predictor, x_values, y_values) -> str:
     """Reference: the grid CSV as one string, one f-string per row."""
-    z = log_density_grid(predictor, x_values, y_values)
+    z = predictor.predict(x_values).log_density(y_values[:, None]).T
     lines = ["x,y,z"]
     for i, x in enumerate(x_values):
         for j, y in enumerate(y_values):

@@ -51,6 +51,17 @@ def test_records_validation() -> None:
         EvaluationRecords(np.zeros(1), np.zeros(2), np.zeros(2), np.zeros(2))
 
 
+def test_records_leave_the_callers_arrays_writable() -> None:
+    fields = [np.ones(3), np.ones(3), np.zeros(3), np.full(3, 0.5)]
+    rec = EvaluationRecords(*fields)
+    stored = [rec.abs_errors, rec.uncertainties, rec.log_densities, rec.pits]
+    for given_array, kept in zip(fields, stored):
+        assert given_array.flags.writeable
+        assert np.shares_memory(given_array, kept)  # no copy
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0.0
+
+
 def test_records_take_selects_rows() -> None:
     rec = records_from([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     sub = rec.take(np.array([2, 0]))
@@ -303,48 +314,55 @@ def test_ause_invariant_under_monotone_uncertainty_transform(errors) -> None:
 def test_calibration_error_counts_pit_equal_to_threshold() -> None:
     pits = np.array([0.1, 0.2, 0.9])
     uniform = WeightMode.UNIFORM
-    # the PIT 0.2 is covered at threshold 0.2: observed coverage 2/3, not 1/3
-    cfg = EvalConfig(thresholds=np.array([0.2]), weight_mode=uniform)
-    assert calibration_error(pits, cfg) == pytest.approx((0.2 - 2.0 / 3.0) ** 2)
-    cfg = EvalConfig(thresholds=np.array([0.2]), weight_mode=WeightMode.PAPER)
-    assert calibration_error(pits, cfg) == pytest.approx(2.0 / 9.0 * (0.2 - 2.0 / 3.0) ** 2)
-    # no PIT lies at or below 0.05; all lie at or below 1
-    cfg = EvalConfig(thresholds=np.array([0.05, 1.0]), weight_mode=uniform)
-    assert calibration_error(pits, cfg) == pytest.approx(0.05**2 / 2.0)
+    # M = 6 gives the levels 0, 0.2, ..., 1; the PIT 0.2 is covered at the
+    # level 0.2: observed coverage 2/3 there, not 1/3
+    gaps = np.array([0.0, 0.2 - 2 / 3, 0.4 - 2 / 3, 0.6 - 2 / 3, 0.8 - 2 / 3, 0.0])
+    cfg = EvalConfig(thresholds=6, weight_mode=uniform)
+    assert calibration_error(pits, cfg) == pytest.approx(np.sum(gaps**2) / 6)
+    cfg = EvalConfig(thresholds=6, weight_mode=WeightMode.PAPER)
+    weights = np.array([0.0, 2 / 9, 2 / 9, 2 / 9, 2 / 9, 1 / 3])
+    assert calibration_error(pits, cfg) == pytest.approx(np.sum(weights * gaps**2))
+    # a PIT of 0 is covered at the level 0; every PIT is covered at 1
+    cfg = EvalConfig(thresholds=2, weight_mode=uniform)
+    assert calibration_error(pits, cfg) == 0.0
+    assert calibration_error(np.array([0.0, 0.5, 1.0]), cfg) == pytest.approx((1 / 3) ** 2 / 2)
     with pytest.raises(ValueError):
         calibration_error(np.array([]), cfg)
 
 
 def test_calibration_error_hand_case() -> None:
     pits = np.array([0.1, 0.2, 0.9])
-    cfg = EvalConfig(thresholds=np.array([0.5]), weight_mode=WeightMode.PAPER)
-    # observed coverage 2/3, weight (2/3)/3 = 2/9, gap^2 = 1/36
+    # M = 3: levels 0, 0.5, 1 with observed coverage 0, 2/3, 1; only the
+    # level 0.5 is off, by 1/6, and its paper weight is (2/3)/3 = 2/9
+    cfg = EvalConfig(thresholds=3, weight_mode=WeightMode.PAPER)
     assert calibration_error(pits, cfg) == pytest.approx(2.0 / 9.0 / 36.0)
-    cfg = EvalConfig(thresholds=np.array([0.5]), weight_mode=WeightMode.UNIFORM)
-    assert calibration_error(pits, cfg) == pytest.approx(1.0 / 36.0)
+    cfg = EvalConfig(thresholds=3, weight_mode=WeightMode.UNIFORM)
+    assert calibration_error(pits, cfg) == pytest.approx(1.0 / 36.0 / 3.0)
 
 
 def test_calibration_error_zero_for_exact_coverage() -> None:
     pits = np.array([0.25, 0.5, 0.75, 1.0])
-    cfg = EvalConfig(thresholds=np.array([0.25, 0.5, 0.75]))
+    cfg = EvalConfig(thresholds=5)  # levels 0, 0.25, 0.5, 0.75, 1
     assert calibration_error(pits, cfg) == 0.0
 
 
-def test_default_thresholds_span_unit_interval() -> None:
-    cfg = EvalConfig()
-    assert len(cfg.thresholds) == 100
-    assert cfg.thresholds[0] == 0.0
-    assert cfg.thresholds[-1] == 1.0
-    assert np.all(np.diff(cfg.thresholds) > 0)
+@pytest.mark.parametrize("mode", list(WeightMode))
+@pytest.mark.parametrize("m", [2, 7, 100])
+def test_calibration_error_levels_are_m_evenly_spaced_points(m, mode) -> None:
+    pits = np.random.default_rng(m).uniform(size=257)
+    levels = np.linspace(0, 1, m)
+    observed = np.array([np.mean(pits <= level) for level in levels])
+    weights = observed / len(pits) if mode is WeightMode.PAPER else np.full(m, 1.0 / m)
+    expected = float(np.sum(weights * (levels - observed) ** 2))
+    assert calibration_error(pits, EvalConfig(m, mode)) == expected
+    assert EvalConfig().thresholds == 100
 
 
-def test_threshold_validation() -> None:
-    with pytest.raises(ValueError):
-        EvalConfig(thresholds=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        EvalConfig(thresholds=np.array([-0.1, 0.5]))
-    with pytest.raises(ValueError):
-        EvalConfig(thresholds=np.array([]))
+@pytest.mark.parametrize("thresholds", [1, 0, True, 2.0, np.linspace(0, 1, 5)],
+                         ids=["one", "zero", "bool", "float", "array"])
+def test_threshold_validation(thresholds) -> None:
+    with pytest.raises(ValueError, match="thresholds must be an int count of at least 2"):
+        EvalConfig(thresholds=thresholds)
 
 
 def test_calibrated_pits_score_lower_than_miscalibrated() -> None:
@@ -462,7 +480,7 @@ def test_nll_is_mean_negative_log_density() -> None:
 
 @pytest.mark.parametrize("config", [
     EvalConfig(),
-    EvalConfig(np.linspace(0, 1, 7), WeightMode.UNIFORM, RankTieMode.AVERAGE),
+    EvalConfig(7, WeightMode.UNIFORM, RankTieMode.AVERAGE),
 ], ids=["default", "uniform-average-7"])
 def test_evaluate_bundles_individual_metrics(config) -> None:
     rng = np.random.default_rng(6)

@@ -16,6 +16,7 @@ import pytest
 
 from uqeval.datasets import DatasetKind, DomainError, LabeledSet, Split, generate
 from uqeval.distributions import Gaussian, GaussianMixture, VARIANCE_FLOOR
+from uqeval.experiments import density_grid_csv
 from uqeval.metrics import nll
 from uqeval import network, predictors
 from uqeval.network import forward
@@ -29,7 +30,6 @@ from uqeval.predictors import (
     TrueDistributionPredictor,
     _train_member,
     load_ensemble,
-    log_density_grid,
     make_records,
     map_on_cores,
     save_ensemble,
@@ -108,13 +108,11 @@ B = RECORD_BLOCK_ROWS
 def single_pass_fields(predictor, data: LabeledSet) -> dict:
     """Reference: make_records before row blocks, one predict call over all rows."""
     dist = predictor.predict(data.xs)
-    n = len(data)
-    mean = np.broadcast_to(np.asarray(dist.mean, dtype=np.float64), (n,))
     return {
-        "abs_errors": np.abs(data.ys - mean),
-        "uncertainties": np.broadcast_to(np.asarray(dist.variance, dtype=np.float64), (n,)),
-        "log_densities": np.broadcast_to(np.asarray(dist.log_density(data.ys)), (n,)),
-        "pits": np.broadcast_to(np.asarray(dist.cdf(data.ys)), (n,)),
+        "abs_errors": np.abs(data.ys - dist.mean),
+        "uncertainties": dist.variance,
+        "log_densities": dist.log_density(data.ys),
+        "pits": dist.cdf(data.ys),
     }
 
 
@@ -243,7 +241,8 @@ PREDICTORS = {
 @pytest.mark.parametrize("n", [1, 7])
 @pytest.mark.parametrize("name", sorted(PREDICTORS))
 def test_predictions_hold_one_value_per_input_row(name, n) -> None:
-    # make_records and log_density_grid use these arrays as they are
+    # make_records copies these arrays into its record blocks and density_grid_csv
+    # broadcasts them against a column of y values: both need one value per row
     kind, build = PREDICTORS[name]
     data = generate(kind, Split.TEST, n, 5)
     dist = build().predict(data.xs)
@@ -520,11 +519,18 @@ def test_load_missing_file_raises(tmp_path) -> None:
 
 # ----------------------------------------------------------------- density grid
 
-def test_log_density_grid_matches_pointwise_evaluation() -> None:
+def grid_z(predictor, xs, ys) -> np.ndarray:
+    """density_grid_csv's z column, parsed back and shaped (len(xs), len(ys))."""
+    text = "".join(density_grid_csv(predictor, xs, ys))
+    z = [float(line.split(",")[2]) for line in text.splitlines()[1:]]
+    return np.array(z).reshape(len(xs), len(ys))
+
+
+def test_density_grid_z_matches_pointwise_evaluation() -> None:
     pred = TrueDistributionPredictor(DatasetKind.HOMOSCEDASTIC)
     xs = np.array([-0.5, 0.0, 0.5])
     ys = np.array([0.0, 0.5, 1.0, 1.5])
-    z = log_density_grid(pred, xs, ys)
+    z = grid_z(pred, xs, ys)
     assert z.shape == (3, 4)
     for i, x in enumerate(xs):
         g = Gaussian(math.cos(1.5 * math.pi * x), 0.01)
@@ -532,10 +538,10 @@ def test_log_density_grid_matches_pointwise_evaluation() -> None:
             assert z[i, j] == pytest.approx(g.log_density(y), rel=1e-12)
 
 
-def test_log_density_grid_for_mixture_predictor() -> None:
+def test_density_grid_z_for_mixture_predictor() -> None:
     pred = TrueDistributionPredictor(DatasetKind.MULTIMODAL)
     xs = np.array([0.0, 0.25])
     ys = np.array([0.5, 1.5])
-    z = log_density_grid(pred, xs, ys)
+    z = grid_z(pred, xs, ys)
     direct = pred.predict(np.array([0.0]))
     assert z[0, 1] == pytest.approx(np.asarray(direct.log_density(1.5))[0], rel=1e-12)
