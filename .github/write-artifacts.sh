@@ -14,6 +14,10 @@
 # per epoch, so its bytes cover 800 optimizer steps per member.  The bias
 # runs score their replicates in worker processes, except `--replicates 1`,
 # which scores in-process; the homoscedastic stability CSV holds `nan` cells.
+# Each default a command resolves is recorded in its manifest: `generate`
+# runs at its default --n for both splits, and `density-grid` with default
+# and with explicit --x-min/--x-max.  One `eval` writes its report to stdout
+# and its manifest to stderr, both redirected to files.
 # Commands run inside OUT_DIR with relative --out paths, so the manifests
 # of two runs compare too.  BLAS settings come from the caller's environment.
 set -euo pipefail
@@ -40,6 +44,13 @@ uqeval eval --dataset heteroscedastic --n 4099 --thresholds 7 \
 uqeval eval --dataset heteroscedastic --n 4099 --thresholds 2 --out eval-thresholds-2.csv
 uqeval eval --dataset heteroscedastic --n 1 --out eval-1.csv
 uqeval eval --dataset heteroscedastic --n 2 --out eval-2.csv
+uqeval eval --dataset heteroscedastic --n 4099 --weights uniform \
+  > eval-stdout.csv 2> eval-stdout.manifest.json
+for split in train test; do
+  uqeval generate --dataset epistemic --split $split --out "generate-default-n-$split.csv"
+done
+uqeval density-grid --dataset heteroscedastic --x-min=-0.5 --x-max 0.25 --nx 16 --ny 8 \
+  --out density-grid-x-bounds.csv
 uqeval sparsify --dataset homoscedastic --n 49 --out sparsify-49.csv
 uqeval sparsify --dataset multimodal --n 200003 --out sparsify-blocks.csv
 uqeval eval --dataset multimodal --n 200003 --out eval-blocks.csv

@@ -4,8 +4,11 @@ Subcommands: generate, train, eval, stability, bias, sparsify,
 density-grid.  Exit codes: 0 on success, 1 on usage errors (with usage
 text on stderr), 2 on runtime failures.  Every run emits a RunManifest:
 written next to the artifact as <out>.manifest.json, or to stderr when
-the result goes to stdout.  Artifacts and manifests are written to a
-temp file and renamed into place, so a failed run leaves no partial file.
+the result goes to stdout.  Its parameters are every option as resolved
+(defaults included), minus --out, plus model_sha256 for a loaded model
+and train's fixed recipe, so config_hash differs whenever any flag does.
+Artifacts and manifests are written to a temp file and renamed into
+place, so a failed run leaves no partial file.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .datasets import DatasetKind, Split, dataset_csv, generate
 from .metrics import EvalConfig, RankTieMode, REPORT_HEADER, WeightMode, evaluate
 from .network import LEARNING_RATE
 from .experiments import (
+    DEFAULT_REPLICATES,
     bias_experiment,
     convergence_experiment,
     density_grid_csv,
@@ -130,7 +134,7 @@ def build_parser() -> _Parser:
                        description=_DEFAULT_CONVENTIONS)
     p.add_argument("--dataset", choices=kinds, default=DatasetKind.HETEROSCEDASTIC.value)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicates", type=_int_at_least(1), default=100)
+    p.add_argument("--replicates", type=_int_at_least(1), default=DEFAULT_REPLICATES)
     p.add_argument("--out", required=True)
     _add_predictor_flags(p)
 
@@ -156,23 +160,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _predictor(args) -> tuple[object, dict]:
-    kind = DatasetKind(args.dataset)
+def _predictor(args):
+    """The predictor `args` names; a loaded model's SHA-256 goes onto `args` for the manifest."""
     if args.predictor == "oracle":
         if args.model_path is not None:
             raise UsageError("error: --model-path is read only with --predictor ensemble")
-        return TrueDistributionPredictor(kind), {"predictor": "oracle"}
+        return TrueDistributionPredictor(DatasetKind(args.dataset))
     if not args.model_path:
         raise UsageError("error: --model-path is required with --predictor ensemble")
-    return load_ensemble(args.model_path), {
-        "predictor": "ensemble",
-        "model_path": str(args.model_path),
-        "model_sha256": sha256_file(args.model_path),
-    }
-
-
-def _eval_config(args) -> EvalConfig:
-    return EvalConfig(args.thresholds, WeightMode(args.weights), RankTieMode(args.tie_mode))
+    predictor = load_ensemble(args.model_path)
+    args.model_sha256 = sha256_file(args.model_path)
+    return predictor
 
 
 def _replace_atomically(path: str, write) -> None:
@@ -199,92 +197,72 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
-def _publish(command: str, argv: list[str], params: dict, out: str, write) -> None:
-    """Writes the artifact with `write(path)`, then its manifest, each atomically."""
-    _replace_atomically(out, write)
-    manifest = make_manifest(command, argv, params, [out])
-    _replace_atomically(f"{out}.manifest.json", lambda tmp: _write_text(tmp, [manifest.to_json()]))
+def _emit(args, argv: list[str], output) -> None:
+    """Writes a command's output, text chunks or a `write(path)` function, and its manifest.
+
+    The manifest parameters are every option in `args` that is set, as the
+    handler resolved it, except `command` and `out`.  With `--out` the
+    artifact and then `<out>.manifest.json` are written atomically;
+    without it the chunks go to stdout and the manifest to stderr.
+    """
+    params = {key: value for key, value in vars(args).items()
+              if key not in ("command", "out") and value is not None}
+    if args.out is None:
+        sys.stdout.writelines(output)
+        sys.stderr.write(make_manifest(args.command, argv, params, []).to_json())
+        return
+    write = output if callable(output) else lambda tmp: _write_text(tmp, output)
+    _replace_atomically(args.out, write)
+    manifest = make_manifest(args.command, argv, params, [args.out])
+    _replace_atomically(f"{args.out}.manifest.json", lambda tmp: _write_text(tmp, [manifest.to_json()]))
 
 
-def _emit(command: str, argv: list[str], params: dict, chunks: Iterable[str], out: str | None) -> None:
-    """Writes the text chunks to `out` (see `_publish`), or to stdout with the manifest on stderr."""
-    if out is not None:
-        _publish(command, argv, params, out, lambda tmp: _write_text(tmp, chunks))
-    else:
-        sys.stdout.writelines(chunks)
-        sys.stderr.write(make_manifest(command, argv, params, []).to_json())
-
-
-def _cmd_generate(args, argv) -> None:
-    kind = DatasetKind(args.dataset)
+def _cmd_generate(args) -> Iterable[str]:
     split = Split(args.split)
-    n = args.n if args.n is not None else (
-        DEFAULT_TRAIN_N if split is Split.TRAIN else DEFAULT_TEST_N
-    )
-    data = generate(kind, split, n, args.seed)
-    params = {"dataset": kind.value, "split": split.value, "n": n, "seed": args.seed}
-    _emit("generate", argv, params, dataset_csv(data), args.out)
+    if args.n is None:
+        args.n = DEFAULT_TRAIN_N if split is Split.TRAIN else DEFAULT_TEST_N
+    return dataset_csv(generate(DatasetKind(args.dataset), split, args.n, args.seed))
 
 
-def _cmd_train(args, argv) -> None:
-    kind = DatasetKind(args.dataset)
-    data = generate(kind, Split.TRAIN, args.n, args.seed)
+def _cmd_train(args):
+    data = generate(DatasetKind(args.dataset), Split.TRAIN, args.n, args.seed)
     config = TrainConfig(seed=args.seed)
     predictor = train_ensemble(data, config)
-    params = {
-        "dataset": kind.value, "n": args.n, "seed": args.seed,
-        "ensemble_size": config.ensemble_size, "epochs": config.epochs,
-        "batch_size": config.batch_size, "learning_rate": LEARNING_RATE,
-    }
-    _publish("train", argv, params, args.out, lambda path: save_ensemble(predictor, path))
+    vars(args).update(ensemble_size=config.ensemble_size, epochs=config.epochs,
+                      batch_size=config.batch_size, learning_rate=LEARNING_RATE)
+    return lambda path: save_ensemble(predictor, path)
 
 
-def _cmd_eval(args, argv) -> None:
+def _cmd_eval(args) -> Iterable[str]:
     kind = DatasetKind(args.dataset)
-    predictor, pparams = _predictor(args)
-    config = _eval_config(args)
+    predictor = _predictor(args)
+    config = EvalConfig(args.thresholds, WeightMode(args.weights), RankTieMode(args.tie_mode))
     data = generate(kind, Split.TEST, args.n, args.seed)
     report = evaluate(make_records(predictor, data), config)
-    text = f"{REPORT_HEADER}\n{report.csv_row(kind.value, pparams['predictor'])}\n"
-    params = {
-        "dataset": kind.value, "n": args.n, "seed": args.seed,
-        "thresholds": args.thresholds, "weights": args.weights,
-        "tie_mode": args.tie_mode, **pparams,
-    }
-    _emit("eval", argv, params, [text], args.out)
+    return [f"{REPORT_HEADER}\n{report.csv_row(kind.value, args.predictor)}\n"]
 
 
-def _cmd_stability(args, argv) -> None:
+def _cmd_stability(args) -> Iterable[str]:
+    result = convergence_experiment(_predictor(args), DatasetKind(args.dataset), args.seed)
+    return [result.to_csv()]
+
+
+def _cmd_bias(args) -> Iterable[str]:
+    result = bias_experiment(_predictor(args), DatasetKind(args.dataset), args.seed,
+                             replicates=args.replicates)
+    return [result.to_csv(mean_prefix=True)]
+
+
+def _cmd_sparsify(args) -> Iterable[str]:
+    return sparsification_csv(_predictor(args), DatasetKind(args.dataset), args.seed, args.n)
+
+
+def _cmd_density_grid(args) -> Iterable[str]:
     kind = DatasetKind(args.dataset)
-    predictor, pparams = _predictor(args)
-    result = convergence_experiment(predictor, kind, args.seed)
-    params = {"dataset": kind.value, "seed": args.seed, **pparams}
-    _emit("stability", argv, params, [result.to_csv()], args.out)
-
-
-def _cmd_bias(args, argv) -> None:
-    kind = DatasetKind(args.dataset)
-    predictor, pparams = _predictor(args)
-    result = bias_experiment(predictor, kind, args.seed, replicates=args.replicates)
-    params = {"dataset": kind.value, "seed": args.seed,
-              "replicates": args.replicates, **pparams}
-    _emit("bias", argv, params, [result.to_csv(mean_prefix=True)], args.out)
-
-
-def _cmd_sparsify(args, argv) -> None:
-    kind = DatasetKind(args.dataset)
-    predictor, pparams = _predictor(args)
-    chunks = sparsification_csv(predictor, kind, args.seed, args.n)
-    params = {"dataset": kind.value, "n": args.n, "seed": args.seed, **pparams}
-    _emit("sparsify", argv, params, chunks, args.out)
-
-
-def _cmd_density_grid(args, argv) -> None:
-    kind = DatasetKind(args.dataset)
-    predictor, pparams = _predictor(args)
+    predictor = _predictor(args)
     lo, hi = kind.domain
-    x_min = args.x_min if args.x_min is not None else lo
-    x_max = args.x_max if args.x_max is not None else hi
+    x_min = args.x_min = lo if args.x_min is None else args.x_min
+    x_max = args.x_max = hi if args.x_max is None else args.x_max
     if args.predictor == "oracle" and not (lo <= x_min and x_max <= hi):
         raise UsageError(f"error: the {kind.value} oracle is defined on [{lo}, {hi}] only, "
                          f"got --x-min {x_min} --x-max {x_max}")
@@ -294,14 +272,10 @@ def _cmd_density_grid(args, argv) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             xs = np.linspace(x_min, x_max, args.nx)
             ys = np.linspace(args.y_min, args.y_max, args.ny)
-            chunks = density_grid_csv(predictor, xs, ys)
+            return density_grid_csv(predictor, xs, ys)
     except ValueError as exc:  # non-finite or overflowing bounds, or values far outside the data
         raise UsageError(f"error: the log predictive density is not finite on --x-min {x_min} "
                          f"--x-max {x_max} --y-min {args.y_min} --y-max {args.y_max} ({exc})") from exc
-    params = {"dataset": kind.value, "x_min": x_min, "x_max": x_max,
-              "y_min": args.y_min, "y_max": args.y_max,
-              "nx": args.nx, "ny": args.ny, **pparams}
-    _emit("density-grid", argv, params, chunks, args.out)
 
 
 _COMMANDS = {
@@ -321,7 +295,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(f"{parser.format_usage()}error: a command is required")
-        _COMMANDS[args.command](args, argv)
+        _emit(args, argv, _COMMANDS[args.command](args))
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -300,7 +300,10 @@ def save_ensemble(predictor: EnsemblePredictor, path) -> None:
 def _entry(archive, key: str, path) -> np.ndarray:
     if key not in archive.files:
         raise ValueError(f"model file {path}: missing array {key!r}")
-    return archive[key]
+    try:
+        return archive[key]
+    except ValueError as exc:  # an object array: np.load refuses to unpickle it
+        raise ValueError(f"model file {path}: array {key!r} cannot be read ({exc})") from exc
 
 
 def _param_entry(archive, key: str, shape: tuple[int, ...], path) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 
 import uqeval
 import uqeval.datasets
-from uqeval.cli import run
+from uqeval.cli import build_parser, run
 from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
 from uqeval.experiments import read_manifest, sha256_file
 from uqeval.metrics import REPORT_HEADER, evaluate
@@ -267,6 +267,53 @@ def test_train_manifest_records_configuration(model_path) -> None:
     assert manifest.outputs[0]["sha256"] == sha256_file(model_path)
 
 
+MODEL, OUT = "<model>", "<out>"  # replaced by the trained model's path and a fresh --out path
+ENSEMBLE = ["--predictor", "ensemble", "--model-path", MODEL]
+
+
+@pytest.mark.parametrize(
+    "argv, resolved",
+    [
+        (["generate", "--dataset", "epistemic", "--split", "train", "--out", OUT], {"n": 10_000}),
+        (["generate", "--dataset", "epistemic", "--out", OUT], {"n": 2**16}),
+        (["train"], {"ensemble_size": 5, "epochs": 20, "batch_size": 128, "learning_rate": 1e-3}),
+        (["eval", "--dataset", "heteroscedastic", "--n", "64", "--tie-mode", "average"], {}),
+        (["eval", "--dataset", "homoscedastic", "--n", "64", *ENSEMBLE, "--out", OUT], {}),
+        (["stability", "--seed", "2", "--out", OUT], {}),
+        (["bias", "--replicates", "1", "--out", OUT], {}),
+        (["sparsify", "--dataset", "homoscedastic", "--n", "32", *ENSEMBLE, "--out", OUT], {}),
+        (["density-grid", "--dataset", "multimodal", "--nx", "2", "--ny", "2", "--out", OUT],
+         {"x_min": 0.0, "x_max": 1.0}),
+        (["density-grid", "--dataset", "homoscedastic", "--x-min=-0.5", "--x-max", "0.25",
+          "--nx", "2", "--ny", "2", "--out", OUT], {}),
+    ],
+    ids=["generate-train-default-n", "generate-test-default-n", "train", "eval-stdout",
+         "eval-ensemble", "stability", "bias", "sparsify-ensemble", "density-grid-default-x",
+         "density-grid-x-bounds"],
+)
+def test_manifest_parameters_are_the_set_options(tmp_path, capsys, model_path,
+                                                 argv, resolved) -> None:
+    out = tmp_path / "out.csv"
+    argv = [{MODEL: str(model_path), OUT: str(out)}.get(arg, arg) for arg in argv]
+    if argv == ["train"]:  # the module's model, trained once
+        manifest = json.loads(Path(f"{model_path}.manifest.json").read_text(encoding="utf-8"))
+    elif "--out" in argv:
+        assert run(argv) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    else:  # the report goes to stdout, its manifest to stderr
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(REPORT_HEADER)
+        manifest = json.loads(captured.err)
+        assert manifest["outputs"] == []
+    options = vars(build_parser().parse_args(manifest["argv"]))
+    expected = {key: value for key, value in options.items()
+                if key not in ("command", "out") and value is not None}
+    if "--model-path" in argv:
+        expected["model_sha256"] = sha256_file(model_path)
+    assert manifest["parameters"] == {**expected, **resolved}
+
+
 def test_sparsify_and_density_grid(tmp_path, model_path) -> None:
     sparse = tmp_path / "curve.csv"
     code = run(["sparsify", "--dataset", "heteroscedastic", "--n", "64",
@@ -393,6 +440,10 @@ def _nan_history(arrays) -> None:
     arrays["history"][3, 19] = np.nan
 
 
+def _as_object(arrays, key) -> None:
+    arrays[key] = arrays[key].astype(object)  # saved pickled; np.load refuses it by default
+
+
 def _edit_config(arrays, **changes) -> None:
     """Sets config_json keys to the given values; None removes the key."""
     meta = json.loads(str(arrays["config_json"]))
@@ -434,11 +485,14 @@ def _edit_config(arrays, **changes) -> None:
          "array 'member7_w0' is not one save_ensemble writes for the 5 members config_json declares"),
         (lambda arrays: arrays.update(notes=np.array("hand edited")),
          "array 'notes' is not one save_ensemble writes for the 5 members config_json declares"),
+        *[(partial(_as_object, key=key), f"array {key!r} cannot be read")
+          for key in ("format", "config_json", "history", "member0_w0")],
     ],
     ids=["nan-weight", "missing-key", "wrong-shape", "bad-config", "zero-epochs", "no-eps",
          "float-epochs", "string-epochs", "bool-epochs", "float-ensemble-size", "float-batch-size",
          "bool-seed", "string-learning-rate", "bool-beta1", "nan-eps", "short-history",
-         "string-history", "nan-history", "extra-member", "skipped-member", "stray-key"],
+         "string-history", "nan-history", "extra-member", "skipped-member", "stray-key",
+         "object-format", "object-config", "object-history", "object-weight"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, model_path, capsys, edit, problem) -> None:
     bad = tmp_path / "bad.npz"
