@@ -8,9 +8,11 @@
 # conventions and the smallest threshold count (2), the smallest record
 # blocks (1, 2 and 49 rows; 49 is a size where the sparsification grid
 # floors some removal counts below k), the 200003-row oracle layout (three
-# record blocks plus a remainder), and a trained ensemble with each command
-# that takes it, at 135169 rows too (two blocks, the second ending in a
-# merged 4097-row chunk).  A second ensemble trains on 1024 rows, 8 batches
+# record blocks plus a remainder), the sparsification curve at exactly one
+# block of CURVE_BLOCK_ROWS (4096 rows) and at one block plus a row, a
+# density grid filled in four blocks of x values, and a trained ensemble
+# with each command that takes it, at 135169 rows too (two record blocks,
+# the second ending in a merged 4097-row chunk).  A second ensemble trains on 1024 rows, 8 batches
 # per epoch, so its bytes cover 800 optimizer steps per member.  The bias
 # runs score their replicates in worker processes, except `--replicates 1`,
 # which scores in-process; the homoscedastic stability CSV holds `nan` cells.
@@ -53,6 +55,11 @@ uqeval density-grid --dataset heteroscedastic --x-min=-0.5 --x-max 0.25 --nx 16 
   --out density-grid-x-bounds.csv
 uqeval sparsify --dataset homoscedastic --n 49 --out sparsify-49.csv
 uqeval sparsify --dataset multimodal --n 200003 --out sparsify-blocks.csv
+for n in 4096 4097; do
+  uqeval sparsify --dataset heteroscedastic --n $n --out "sparsify-curve-$n.csv"
+  uqeval eval --dataset heteroscedastic --n $n --out "eval-curve-$n.csv"
+done
+uqeval density-grid --dataset multimodal --nx 300 --ny 200 --out density-grid-x-blocks.csv
 uqeval eval --dataset multimodal --n 200003 --out eval-blocks.csv
 uqeval bias --replicates 3 --out bias.csv
 uqeval bias --replicates 1 --out bias-1.csv

@@ -237,8 +237,9 @@ def _cmd_eval(args) -> Iterable[str]:
     kind = DatasetKind(args.dataset)
     predictor = _predictor(args)
     config = EvalConfig(args.thresholds, WeightMode(args.weights), RankTieMode(args.tie_mode))
-    data = generate(kind, Split.TEST, args.n, args.seed)
-    report = evaluate(make_records(predictor, data), config)
+    # the test set is freed once scored, so the metrics run beside the records alone
+    records = make_records(predictor, generate(kind, Split.TEST, args.n, args.seed))
+    report = evaluate(records, config)
     return [f"{REPORT_HEADER}\n{report.csv_row(kind.value, args.predictor)}\n"]
 
 

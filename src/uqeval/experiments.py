@@ -26,6 +26,7 @@ from functools import partial
 import numpy as np
 
 from .datasets import CSV_BLOCK_ROWS, DatasetKind, Split, csv_chunks, csv_rows, generate
+from .distributions import Gaussian, GaussianMixture
 from .metrics import EvalConfig, MetricReport, evaluate, sparsification_curve
 from .predictors import make_records, map_on_cores
 from .seeds import TAG_REPLICATE, TAG_SUBSET, derive_seed, make_rng
@@ -116,11 +117,22 @@ def bias_experiment(
 # ----------------------------------------------------------------- artifact CSVs
 
 def sparsification_csv(predictor, kind: DatasetKind, base_seed: int, n: int) -> Iterator[str]:
-    """Scores the test set now; the returned chunks format the curve lazily."""
-    data = generate(kind, Split.TEST, n, base_seed)
-    curve = sparsification_curve(make_records(predictor, data))
+    """Scores the test set now; the returned chunks format the curve lazily.
+
+    The test set is dropped once scored, so the curve is computed beside
+    the records alone.
+    """
+    records = make_records(predictor, generate(kind, Split.TEST, n, base_seed))
+    curve = sparsification_curve(records)
     return csv_chunks("fraction,oracle,sparsification",
                       curve.fractions, curve.by_oracle, curve.by_uncertainty)
+
+
+def _rows(dist, lo: int, hi: int):
+    """The distributions of rows lo..hi-1 of `dist`, from its sliced parameters."""
+    if isinstance(dist, GaussianMixture):
+        return GaussianMixture(dist.weights, tuple(_rows(c, lo, hi) for c in dist.components))
+    return Gaussian(dist.mean[lo:hi], dist.variance[lo:hi])
 
 
 def density_grid_csv(
@@ -131,23 +143,29 @@ def density_grid_csv(
     """Rows iterate x in the outer loop and y in the inner loop.
 
     Each chunk of text holds the rows of about CSV_BLOCK_ROWS // ny x values.
-    A log density that is not finite somewhere on the grid (a non-finite
-    grid value, or one so far out that the density underflows to 0)
-    raises ValueError naming the first such point, before any text is made.
+    The predictor runs once over all x; the log densities are then filled
+    into one (nx, ny) array a block of those x values at a time, so the
+    temporaries stay the size of one chunk.  A log density that is not
+    finite somewhere on the grid (a non-finite grid value, or one so far
+    out that the density underflows to 0) raises ValueError naming the
+    first such point, before any text is made.
     """
     x_values = np.asarray(x_values, dtype=np.float64)
     y_values = np.asarray(y_values, dtype=np.float64)
-    z = predictor.predict(x_values).log_density(y_values[:, None]).T  # z[i, j] at (x[i], y[j])
+    nx, ny = len(x_values), len(y_values)
+    step = max(1, CSV_BLOCK_ROWS // max(1, ny))
+    dist = predictor.predict(x_values)
+    z = np.empty((nx, ny))  # z[i, j] at (x[i], y[j])
+    for i in range(0, nx, step):
+        z[i : i + step] = _rows(dist, i, i + step).log_density(y_values[:, None]).T
     if not np.isfinite(z).all():
         i, j = np.argwhere(~np.isfinite(z))[0]
         raise ValueError(f"log density {z[i, j]} at x {x_values[i]}, y {y_values[j]}")
-    ny = len(y_values)
-    step = max(1, CSV_BLOCK_ROWS // max(1, ny))
     blocks = (
         csv_rows(np.repeat(x_values[i : i + step], ny),
                  np.tile(y_values, len(x_values[i : i + step])),
                  z[i : i + step].ravel())
-        for i in range(0, len(x_values), step)
+        for i in range(0, nx, step)
     )
     return itertools.chain(["x,y,z\n"], blocks)
 

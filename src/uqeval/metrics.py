@@ -22,6 +22,9 @@ import numpy as np
 from .seeds import TAG_TIEBREAK, derive_seed, make_rng
 
 
+CURVE_BLOCK_ROWS = 2**12  # removal counts computed at once by sparsification_curve
+
+
 class UndefinedMetricError(ValueError):
     """Raised when a metric has no defined value for the given records."""
 
@@ -102,29 +105,47 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
 def _stable_order(values: np.ndarray) -> np.ndarray:
     """Exactly np.argsort(values, kind="stable"), from one default sort.
 
-    Any argsort groups ties into runs; sorting the keys run_id * n + index
-    then puts each run back in index order.
+    Without a tie run the default order is the only ascending order, and
+    it is returned as it is.  Otherwise any argsort groups ties into runs;
+    sorting the keys run_id * n + index then puts each run back in index
+    order.
     """
     n = len(values)
     order = np.argsort(values)
-    keys = np.cumsum(_run_starts(values[order]))
+    starts = _run_starts(values[order])
+    if starts.all():
+        return order
+    keys = starts.astype(np.int64)
+    del starts
+    np.cumsum(keys, out=keys)  # run ids; a bool input would be cast to an int64 copy first
     keys *= n
     keys += order
+    del order
     keys.sort()
     keys %= n
     return keys
 
 
-def _removal_curve(ordered: np.ndarray, total: float, removed: np.ndarray) -> np.ndarray:
-    """Normalized retained MAE after removing the first `removed` of `ordered`."""
-    n = len(ordered)
+def _fill_removal_curve(curve: np.ndarray, fractions: np.ndarray, prefix: np.ndarray,
+                        total: float) -> None:
+    """curve[k]: normalized retained MAE once floor(fractions[k] * n) rows are removed.
+
+    `prefix[r]` is the error sum of the first r rows in removal order.  The
+    removed counts and the arithmetic run CURVE_BLOCK_ROWS values at a time,
+    written into `curve`.
+    """
+    n = len(curve)
     if total == 0.0:
         # all-zero errors: every retained subset has MAE 0; the normalized
         # curve is taken as identically 1
-        return np.ones(len(removed))
-    prefix = np.concatenate([[0.0], np.cumsum(ordered)])
-    retained_mean = (total - prefix[removed]) / (n - removed)
-    return retained_mean / (total / n)
+        curve.fill(1.0)
+        return
+    for lo in range(0, n, CURVE_BLOCK_ROWS):
+        removed = np.floor(fractions[lo : lo + CURVE_BLOCK_ROWS] * n).astype(np.int64)
+        block = curve[lo : lo + CURVE_BLOCK_ROWS]
+        np.subtract(total, prefix[removed], out=block)
+        block /= n - removed
+        block /= total / n
 
 
 def sparsification_curve(records: EvaluationRecords, tie_seed: int = 0) -> SparsificationCurve:
@@ -137,27 +158,47 @@ def sparsification_curve(records: EvaluationRecords, tie_seed: int = 0) -> Spars
     (records, tie_seed).  Tied errors are equal values, so the oracle
     curve only needs the sorted errors.  The total is summed in shuffled
     order, which fixes its last bits.
+
+    The curves are computed in place and in blocks of CURVE_BLOCK_ROWS:
+    one error-sum prefix serves both curves in turn, so at most four
+    N-length float64 arrays, the three results included, are held at once.
     """
     _require_nonempty(records)
     n = len(records)
     perm = make_rng(derive_seed(tie_seed, TAG_TIEBREAK)).permutation(n)
     errors = records.abs_errors[perm]
+    neg_u = records.uncertainties[perm]
+    del perm
+    np.negative(neg_u, out=neg_u)
+    order = _stable_order(neg_u)
+    del neg_u
     total = float(errors.sum())
-    order_by_u = _stable_order(-records.uncertainties[perm])
 
-    fractions = np.arange(n) / n
-    removed = np.floor(fractions * n).astype(np.int64)
-    return SparsificationCurve(
-        fractions=fractions,
-        by_uncertainty=_removal_curve(errors[order_by_u], total, removed),
-        by_oracle=_removal_curve(np.sort(errors)[::-1], total, removed),
-    )
+    ordered = errors[order]
+    del order
+    prefix = np.empty(n + 1)
+    prefix[0] = 0.0
+    np.cumsum(ordered, out=prefix[1:])
+    del ordered
+    fractions = np.arange(n, dtype=np.float64)
+    fractions /= n
+    by_uncertainty = np.empty(n)
+    _fill_removal_curve(by_uncertainty, fractions, prefix, total)
+
+    errors.sort()
+    np.cumsum(errors[::-1], out=prefix[1:])
+    del errors
+    by_oracle = np.empty(n)
+    _fill_removal_curve(by_oracle, fractions, prefix, total)
+    return SparsificationCurve(fractions, by_uncertainty, by_oracle)
 
 
 def ause(records: EvaluationRecords, tie_seed: int = 0) -> float:
     """Mean gap between the two sparsification curves (left Riemann sum)."""
     curve = sparsification_curve(records, tie_seed)
-    return float(np.mean(curve.by_uncertainty - curve.by_oracle))
+    gap = curve.by_uncertainty
+    gap -= curve.by_oracle
+    return float(np.mean(gap))
 
 
 # ----------------------------------------------------------------- calibration
@@ -205,9 +246,10 @@ def rank(values: np.ndarray, tie_mode: RankTieMode = RankTieMode.PAPER) -> np.nd
     order = np.argsort(values)
     if np.isnan(values[order[-1]]):  # nan sorts last
         raise ValueError("values must not contain nan")
-    starts = _run_starts(values[order])
+    inside = _run_starts(values[order])
+    np.logical_not(inside, out=inside)  # true where a tie run continues
     first = np.arange(n)
-    first[~starts] = 0
+    first[inside] = 0
     np.maximum.accumulate(first, out=first)
     if tie_mode is RankTieMode.PAPER:
         first += 1
@@ -215,9 +257,10 @@ def rank(values: np.ndarray, tie_mode: RankTieMode = RankTieMode.PAPER) -> np.nd
         ranks[order] = first
         return ranks
     last = np.arange(n)
-    last[~np.append(starts[1:], True)] = n - 1
+    last[:-1][inside[1:]] = n - 1  # all but each run's last element
     np.minimum.accumulate(last[::-1], out=last[::-1])
     first += last
+    del last
     first += 2  # first + last + 2 is twice the 1-based midrank
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = first
@@ -230,21 +273,32 @@ def spearman(
     abs_errors: np.ndarray,
     tie_mode: RankTieMode = RankTieMode.PAPER,
 ) -> float:
-    """Pearson correlation of the two rank sequences."""
+    """Pearson correlation of the two rank sequences.
+
+    The rank vectors are centred and multiplied in place; every sum is
+    numpy's pairwise np.sum, whose bits a BLAS dot product would not keep.
+    """
     u = np.asarray(uncertainties, dtype=np.float64)
     e = np.asarray(abs_errors, dtype=np.float64)
     if u.shape != e.shape or u.ndim != 1:
         raise ValueError("inputs must be 1-D arrays of equal length")
     if len(u) < 2:
         raise UndefinedMetricError("need at least 2 samples")
-    ru = rank(u, tie_mode).astype(np.float64)
-    re = rank(e, tie_mode).astype(np.float64)
-    du = ru - ru.mean()
-    de = re - re.mean()
-    denom = np.sqrt(np.sum(du * du) * np.sum(de * de))
+    du = _centred_ranks(u, tie_mode)
+    suu = np.sum(du * du)  # before e is ranked, while du is the only rank vector held
+    de = _centred_ranks(e, tie_mode)
+    denom = np.sqrt(suu * np.sum(de * de))
     if denom == 0.0:
         raise UndefinedMetricError("rank variance is zero")
-    return float(np.clip(np.sum(du * de) / denom, -1.0, 1.0))
+    np.multiply(du, de, out=du)
+    return float(np.clip(np.sum(du) / denom, -1.0, 1.0))
+
+
+def _centred_ranks(values: np.ndarray, tie_mode: RankTieMode) -> np.ndarray:
+    """float64 ranks minus their mean, centred in place."""
+    ranks = rank(values, tie_mode).astype(np.float64, copy=False)
+    ranks -= ranks.mean()
+    return ranks
 
 
 # ----------------------------------------------------------------- NLL and report

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -10,11 +11,13 @@ import numpy as np
 import pytest
 
 import uqeval
+import uqeval.cli
 import uqeval.datasets
+import uqeval.experiments
 from uqeval.cli import build_parser, run
 from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
 from uqeval.experiments import read_manifest, sha256_file
-from uqeval.metrics import REPORT_HEADER, evaluate
+from uqeval.metrics import CURVE_BLOCK_ROWS, REPORT_HEADER, evaluate
 from uqeval.predictors import TrueDistributionPredictor, make_records
 
 
@@ -343,6 +346,41 @@ def test_sparsify_and_density_grid(tmp_path, model_path) -> None:
 
     assert run(["density-grid", "--dataset", "homoscedastic", "--nx", "0",
                 "--out", str(grid)]) == 1
+
+
+@pytest.mark.parametrize("n", [2**14, 2**18])
+@pytest.mark.parametrize("command, module, scorer", [
+    ("eval", uqeval.cli, "evaluate"),
+    ("sparsify", uqeval.experiments, "sparsification_curve"),
+], ids=["eval", "sparsify"])
+def test_scoring_runs_beside_the_records_alone(tmp_path, monkeypatch, n, command, module,
+                                               scorer) -> None:
+    # The test set is freed before the metrics run: from 16 rows to n, what a
+    # command holds on entry to the scorer grows by the four record arrays
+    # alone, and while it scores it adds at most the bound that
+    # test_metric_memory_is_four_arrays_plus_one_block holds each metric to.
+    argv = [command, "--dataset", "multimodal", "--seed", "0", "--out", str(tmp_path / "o.csv")]
+    assert run([*argv, "--n", "16"]) == 0  # loads scipy.special before anything is traced
+    seen, real = [], getattr(module, scorer)
+
+    def traced(records, *args):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = real(records, *args)
+        seen.append((entry, tracemalloc.get_traced_memory()[1]))
+        return result
+
+    monkeypatch.setattr(module, scorer, traced)
+    for rows in (16, n):
+        tracemalloc.start()
+        try:
+            assert run([*argv, "--n", str(rows)]) == 0
+        finally:
+            tracemalloc.stop()
+    (small, _), (entry, peak) = seen
+    jitter = 16 * 1024
+    assert entry - small <= 4 * 8 * (n - 16) + jitter, seen
+    assert peak - entry <= 4 * 8 * n + n + 8 * 8 * CURVE_BLOCK_ROWS + jitter, seen
 
 
 @pytest.mark.parametrize("bound", ["1e300", "1e200"])

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,33 @@ def test_streamed_density_grid_csv_equals_string_built_text(nx, ny) -> None:
     chunks = list(density_grid_csv(predictor, xs, ys))
     assert all(c.count("\n") < 2 * CSV_BLOCK_ROWS for c in chunks)
     assert "".join(chunks) == string_built_density_grid_csv(predictor, xs, ys)
+
+
+def test_ensemble_density_grid_csv_equals_string_built_text() -> None:
+    # the network runs once over all x; its densities are then filled in x blocks
+    predictor = _tiny_ensemble()
+    xs = np.linspace(-1.0, 1.0, 131)
+    ys = np.linspace(-2.0, 2.0, 257)  # 63 x values per block
+    text = "".join(density_grid_csv(predictor, xs, ys))
+    assert text == string_built_density_grid_csv(predictor, xs, ys)
+
+
+@pytest.mark.parametrize("nx, ny", [(300, 200), (600, 500)])
+def test_density_grid_memory_is_the_grid_plus_one_chunk(nx, ny) -> None:
+    # Beyond z (8 bytes a cell) and its finiteness mask (1 byte a cell), a
+    # grid holds the temporaries of one chunk: the log densities and the
+    # text of about CSV_BLOCK_ROWS cells.
+    predictor = TrueDistributionPredictor(DatasetKind.MULTIMODAL)
+    xs, ys = np.linspace(0.0, 1.0, nx), np.linspace(-2.0, 2.0, ny)
+    list(density_grid_csv(predictor, xs[:2], ys[:2]))  # loads scipy.special untraced
+    tracemalloc.start()
+    try:
+        for _ in density_grid_csv(predictor, xs, ys):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * nx * ny + 384 * CSV_BLOCK_ROWS
 
 
 # ----------------------------------------------------------------- manifests

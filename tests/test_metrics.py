@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqeval.metrics import (
+    CURVE_BLOCK_ROWS,
     EvalConfig,
     EvaluationRecords,
     MetricReport,
     RankTieMode,
     UndefinedMetricError,
     WeightMode,
+    _stable_order,
     ause,
     calibration_error,
     evaluate,
@@ -285,6 +288,55 @@ def tie_heavy_fields(draw, min_size=1):
 def test_tie_heavy_fields_bit_identical_to_two_sort_reference(fields, tie_seed) -> None:
     e, u = fields
     assert_bit_identical(e, u, tie_seeds=(tie_seed,))
+
+
+# ------------------------------------------------------------- stable order
+
+@pytest.mark.parametrize("values", [
+    np.array([0.3, -1.0, 2.5, 0.0, 7.0]),  # all distinct: the default order as it is
+    np.full(9, 0.37),  # one tie run: the identity
+    np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),  # +0.0 and -0.0 are equal values
+    np.array([4.2]),
+], ids=["distinct", "all-equal", "signed-zeros", "n1"])
+def test_stable_order_equals_stable_argsort(values) -> None:
+    assert np.array_equal(_stable_order(values), np.argsort(values, kind="stable"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_fields())
+def test_stable_order_equals_stable_argsort_with_ties(fields) -> None:
+    for values in fields:
+        assert np.array_equal(_stable_order(-values), np.argsort(-values, kind="stable"))
+
+
+# ------------------------------------------------------------- memory bounds
+
+def peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [2**14, 2**18])
+@pytest.mark.parametrize("uncertainty_kind", ["random", "small-integer", "constant"])
+def test_metric_memory_is_four_arrays_plus_one_block(n, uncertainty_kind) -> None:
+    # Four float64 arrays of n values (the curve's three results among
+    # them), an n-byte tie mask and eight float64 temporaries of one block.
+    rng = np.random.default_rng(n)
+    e = rng.exponential(size=n)
+    u = FIELD_KINDS[uncertainty_kind](rng, n)
+    rec = records_from(e, u)
+    peaks = {
+        "sparsification_curve": peak_bytes(lambda: sparsification_curve(rec)),
+        "ause": peak_bytes(lambda: ause(rec)),
+    }
+    if uncertainty_kind != "constant":
+        for mode in RankTieMode:
+            peaks[f"spearman-{mode.value}"] = peak_bytes(lambda: spearman(u, e, mode))
+    assert max(peaks.values()) <= 4 * 8 * n + n + 8 * 8 * CURVE_BLOCK_ROWS, peaks
 
 
 @settings(max_examples=40, deadline=None)
