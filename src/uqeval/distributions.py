@@ -7,19 +7,32 @@ and CDFs are numpy values: arrays, or 0-d arrays and numpy scalars for
 scalar inputs.  Variances are floored at VARIANCE_FLOOR on construction
 so log densities stay finite.
 
-The normal CDF uses scipy's ndtr (the platform erf), whose absolute
-error is far below the 1e-7 the interface promises.  `ndtr` and
-`logsumexp` are imported when first used, in `Gaussian.cdf` and
-`GaussianMixture.log_density`, so a process that never computes a CDF
-or a mixture density (`train` and its workers, say) never loads scipy.
+numpy is the only dependency.  The normal CDF `ndtr` is a port of
+Cephes' `ndtr`/`erf`/`erfc`, the routines behind `scipy.special.ndtr`:
+with x = a/sqrt(2), the odd rational erf(x) for |x| < 1, and for
+|x| >= 1 the rational erfc(|x|) = exp(-x^2) P(|x|)/Q(|x|), one pair of
+polynomials below 8 and another from 8 up, which is 0 once x^2 exceeds
+MAXLOG.  The same coefficients evaluated by the same Horner steps give
+the same bits as scipy.  exp(-x^2) is libm's `math.exp`, element by
+element, as Cephes calls it: numpy's vectorised exp rounds differently
+on some arguments, which would move PITs and so calibration errors.
+The work runs in blocks of NDTR_BLOCK_ROWS into buffers allocated once.
+
+`logsumexp` reduces the components of a mixture with the steps of scipy
+1.17.1's `logsumexp` for nonnegative weights: the maximal terms are split
+off, the result is log1p(s/m) + log(m) + max, and where that is not
+finite, log(sum b exp(a)).  So mixture densities keep scipy's bits, and
+no longer depend on which scipy is installed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 VARIANCE_FLOOR = 1e-12
+NDTR_BLOCK_ROWS = 8192
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
@@ -48,8 +61,6 @@ class Gaussian:
         )
 
     def cdf(self, y) -> np.ndarray:
-        from scipy.special import ndtr
-
         y = np.asarray(y, dtype=np.float64)
         return ndtr((y - self.mean) / np.sqrt(self.variance))
 
@@ -85,13 +96,11 @@ class GaussianMixture:
         return second - m**2
 
     def log_density(self, y) -> np.ndarray:
-        from scipy.special import logsumexp
-
         # log-sum-exp over components; stable when some components underflow
         parts = [c.log_density(y) for c in self.components]
         stacked = np.stack(np.broadcast_arrays(*parts))
         shape = (len(self.components),) + (1,) * (stacked.ndim - 1)
-        return logsumexp(stacked, axis=0, b=self.weights.reshape(shape))
+        return logsumexp(stacked, self.weights.reshape(shape))
 
     def cdf(self, y) -> np.ndarray:
         return sum(w * c.cdf(y) for w, c in zip(self.weights, self.components))
@@ -100,3 +109,126 @@ class GaussianMixture:
 def moment_match(mixture: GaussianMixture) -> Gaussian:
     """Single Gaussian with the mixture's mean and variance."""
     return Gaussian(mixture.mean, mixture.variance)
+
+
+# Cephes ndtr.c: M_SQRT1_2, MAXLOG = log(2^1024), and the coefficients of
+# erfc for 1 <= x < 8 (P/Q) and x >= 8 (R/S), and of erf (T/U), highest
+# power first; Q, S and U have an implicit leading 1.
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+
+
+def _horner(x, coefs, out=None, monic=False) -> np.ndarray:
+    """Cephes polevl (monic=False) or p1evl (True, implicit leading 1) into out."""
+    out = np.empty_like(x) if out is None else out
+    if monic:
+        np.add(x, coefs[0], out=out)
+    else:
+        np.multiply(x, coefs[0], out=out)
+        np.add(out, coefs[1], out=out)
+        coefs = coefs[1:]
+    for c in coefs[1:]:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _erfc_tail(z: np.ndarray) -> np.ndarray:
+    """Cephes erfc(z) for z >= 1: exp(-z^2) P(z)/Q(z), 0 once z^2 > MAXLOG."""
+    z = np.minimum(z, 38.0)  # 38^2 > MAXLOG: the same cut, and no overflow
+    exponent = np.negative(z * z)
+    out = np.fromiter(map(math.exp, exponent.tolist()), np.float64, count=len(z))
+    num, den = _horner(z, _P), _horner(z, _Q, monic=True)
+    far = z >= 8.0
+    if far.any():
+        num[far], den[far] = _horner(z[far], _R), _horner(z[far], _S, monic=True)
+    out *= num
+    out /= den
+    out[exponent < -_MAXLOG] = 0.0
+    return out
+
+
+def ndtr(a) -> np.ndarray:
+    """Standard normal CDF of each element, bit for bit Cephes' (scipy's) ndtr.
+
+    A 0-d input gives a numpy scalar, as a numpy ufunc does.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty(a.shape)
+    flat_a, flat_out = a.reshape(-1), out.reshape(-1)
+    rows = min(len(flat_a), NDTR_BLOCK_ROWS)
+    buffers = [np.empty(rows) for _ in range(5)] + [np.empty(rows, dtype=bool)]
+    for lo in range(0, len(flat_a), NDTR_BLOCK_ROWS):
+        y = flat_out[lo : lo + NDTR_BLOCK_ROWS]
+        x, z, square, erf, other, mask = (b[: len(y)] for b in buffers)
+        np.multiply(flat_a[lo : lo + len(y)], _SQRT1_2, out=x)
+        np.abs(x, out=z)
+        # erf(|x|) = |x| T(x^2) / U(x^2) below 1, taken at min(|x|, 1) so
+        # that a larger |x|, whose value is not used, cannot overflow
+        np.minimum(z, 1.0, out=y)
+        np.multiply(y, y, out=square)
+        _horner(square, _T, erf)
+        np.multiply(erf, y, out=erf)
+        np.divide(erf, _horner(square, _U, other, monic=True), out=erf)
+        # |x| >= 1/sqrt(2): 0.5 erfc(|x|), reflected to 1 - 0.5 erfc(|x|) for
+        # x > 0; erfc(|x|) is 1 - erf(|x|) below 1
+        np.subtract(1.0, erf, out=y)
+        np.greater_equal(z, 1.0, out=mask)
+        tail = np.flatnonzero(mask)
+        y[tail] = _erfc_tail(z[tail])
+        np.multiply(y, 0.5, out=y)
+        np.subtract(1.0, y, out=other)
+        np.greater(x, 0.0, out=mask)
+        np.putmask(y, mask, other)
+        # |x| < 1/sqrt(2): 0.5 + 0.5 erf(x), with erf odd
+        np.copysign(erf, x, out=erf)
+        np.multiply(erf, 0.5, out=erf)
+        np.add(erf, 0.5, out=erf)
+        np.less(z, _SQRT1_2, out=mask)
+        np.putmask(y, mask, erf)
+    return out[()] if out.ndim == 0 else out
+
+
+def logsumexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(sum(b * exp(a), axis=0)) for weights b >= 0 of shape (K, 1, ...).
+
+    The steps of scipy 1.17.1's logsumexp, so the bits are its bits: a
+    zero weight makes its term -inf; the maximal terms are split off, with
+    m the sum of their weights; the result is log1p(s/m) + log(m) + max
+    for s the weighted sum of the other terms' exp(a - max); and wherever
+    that is not finite (every term -inf, say), it is log(sum(b exp(a))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shifted = np.where(b == 0, -np.inf, a)
+        top = np.max(shifted, axis=0, keepdims=True)
+        is_top = shifted == top
+        m = np.sum(np.where(is_top, b, 0.0), axis=0, keepdims=True)
+        shifted[is_top] = -np.inf
+        shifted -= top
+        np.exp(shifted, out=shifted)
+        shifted *= b
+        s = np.sum(shifted, axis=0, keepdims=True)
+        np.divide(s, m, out=s, where=s != 0)
+        out = np.log1p(s)
+        out += np.log(m)
+        out += top
+        bad = ~np.isfinite(out.reshape(-1))
+        if bad.any():
+            k = len(a)
+            terms = b.reshape(k, 1) * np.exp(a.reshape(k, -1)[:, bad])
+            out.reshape(-1)[bad] = np.log(np.sum(terms, axis=0))
+    return out[0]

@@ -145,17 +145,22 @@ def test_overflowing_density_grid_span_is_a_usage_error(tmp_path, capsys, model_
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("predictor", ["oracle", "ensemble"])
+@pytest.mark.parametrize("dataset, predictor", [
+    ("homoscedastic", "oracle"), ("homoscedastic", "ensemble"), ("multimodal", "oracle"),
+], ids=["oracle", "ensemble", "multimodal-oracle"])
 def test_density_grid_whose_density_underflows_is_a_usage_error(tmp_path, capsys, model_path,
-                                                               predictor) -> None:
-    # finite bounds and span, but at y = -1e200 the log density is -inf
-    argv = ["density-grid", "--dataset", "homoscedastic", "--y-min=-1e200", "--y-max", "1e200",
+                                                               dataset, predictor) -> None:
+    # finite bounds and span, but at y = -1e200 the log density is -inf; for
+    # the two-component oracle, every term of its log-sum-exp is -inf there
+    argv = ["density-grid", "--dataset", dataset, "--y-min=-1e200", "--y-max", "1e200",
             "--nx", "3", "--ny", "2", "--predictor", predictor, *_model_flag(predictor, model_path),
             "--out", str(tmp_path / "grid.csv")]
     assert _run_printing_warnings(argv) == 1
     err = capsys.readouterr().err
     assert "RuntimeWarning" not in err
-    assert _grid_error(-1, 1, -1e200, 1e200) + "log density -inf at x -1.0, y -1e+200)" in err
+    x_min, x_max = DatasetKind(dataset).domain
+    assert (_grid_error(x_min, x_max, -1e200, 1e200)
+            + f"log density -inf at x {x_min}, y -1e+200)") in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -360,7 +365,7 @@ def test_scoring_runs_beside_the_records_alone(tmp_path, monkeypatch, n, command
     # alone, and while it scores it adds at most the bound that
     # test_metric_memory_is_four_arrays_plus_one_block holds each metric to.
     argv = [command, "--dataset", "multimodal", "--seed", "0", "--out", str(tmp_path / "o.csv")]
-    assert run([*argv, "--n", "16"]) == 0  # loads scipy.special before anything is traced
+    assert run([*argv, "--n", "16"]) == 0  # one-time set-up runs before anything is traced
     seen, real = [], getattr(module, scorer)
 
     def traced(records, *args):
@@ -585,8 +590,8 @@ def test_pooled_bias_prints_an_undefined_metric_warning_once(tmp_path) -> None:
     assert out.exists()
 
 
-# Runs --help, generate and a pooled train in one fresh process, checking
-# after each step that scipy has not been imported; argv[1] is a directory.
+# Runs every command in one fresh process, checking after each that scipy
+# has not been imported; argv[1] is a directory.  train and bias run pooled.
 NUMPY_ONLY_COMMANDS = """
 import contextlib, io, os, sys
 from uqeval import cli, predictors
@@ -594,32 +599,33 @@ from uqeval import cli, predictors
 def assert_no_scipy(after):
     assert "scipy" not in sys.modules, f"scipy imported by {after}"
 
+def run(*argv):
+    out = os.path.join(sys.argv[1], argv[0] + ".out")
+    assert cli.run([*argv, "--out", out]) == 0
+    assert_no_scipy(" ".join(argv))
+
 assert_no_scipy("import uqeval.cli")
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["--help"]) == 0
 assert_no_scipy("--help")
-out = os.path.join(sys.argv[1], "data.csv")
-assert cli.run(["generate", "--dataset", "multimodal", "--n", "64", "--out", out]) == 0
-assert_no_scipy("generate")
+run("generate", "--dataset", "multimodal", "--n", "64")
 predictors._available_cores = lambda: 2  # two workers even on a one-core machine
-out = os.path.join(sys.argv[1], "model.npz")
-assert cli.run(["train", "--dataset", "homoscedastic", "--n", "64", "--out", out]) == 0
-assert_no_scipy("a pooled train")
+run("train", "--dataset", "homoscedastic", "--n", "64")
+run("eval", "--dataset", "multimodal", "--n", "300")
+run("sparsify", "--dataset", "multimodal", "--n", "300")
+run("density-grid", "--dataset", "multimodal", "--nx", "8", "--ny", "8")
+run("stability", "--dataset", "multimodal")
+run("bias", "--dataset", "multimodal", "--replicates", "2")
 """
 
 
-def test_help_generate_and_train_never_import_scipy(tmp_path) -> None:
+def test_no_command_imports_scipy(tmp_path) -> None:
     done = _python("-c", NUMPY_ONLY_COMMANDS, str(tmp_path))
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "model.npz").exists()
-
-
-def test_fresh_oracle_eval_imports_scipy_on_demand(capsys) -> None:
-    argv = ["eval", "--dataset", "multimodal", "--n", "300", "--seed", "5"]
-    script = ("import sys; from uqeval.cli import run; "
-              "assert 'scipy' not in sys.modules; code = run(sys.argv[1:]); "
-              "assert 'scipy.special' in sys.modules; sys.exit(code)")
-    done = _python("-c", script, *argv)
-    assert done.returncode == 0, done.stderr
-    assert run(argv) == 0
-    assert done.stdout == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".json")) == [
+        "bias.out", "density-grid.out", "eval.out", "generate.out", "sparsify.out",
+        "stability.out", "train.out"]
+    # the fresh process scored as this one does
+    here = tmp_path / "here.csv"
+    assert run(["eval", "--dataset", "multimodal", "--n", "300", "--out", str(here)]) == 0
+    assert here.read_bytes() == (tmp_path / "eval.out").read_bytes()

@@ -1,16 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad, trapezoid
 
 from uqeval.distributions import (
     Gaussian,
     GaussianMixture,
+    NDTR_BLOCK_ROWS,
     VARIANCE_FLOOR,
+    logsumexp,
     moment_match,
+    ndtr,
 )
 
 
@@ -210,3 +215,127 @@ def test_elementwise_shape_follows_parameters() -> None:
 def test_log_density_never_exceeds_mode(mean, var, y) -> None:
     g = Gaussian(mean, var)
     assert g.log_density(y) <= g.log_density(mean) + 1e-12
+
+
+# ------------------------------------------- ndtr and logsumexp against scipy
+
+def same_bits(got, want) -> bool:
+    """Equal values, shapes and types, bit for bit (signed zeros, infinities)."""
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def quiet_ndtr(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return ndtr(a)
+
+
+# |a| at Cephes' branch points, with x = a / sqrt(2): erf below 1, erfc(|x|)
+# from |x| = 1/sqrt(2) (|a| = 1), its exp(-x^2) tail from |x| = 1 (|a| =
+# sqrt 2), the second tail polynomial from |x| = 8, and 0 once x^2 > MAXLOG
+NDTR_BRANCH_POINTS = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                      math.sqrt(2.0 * 7.09782712893383996843e2)]
+
+
+def test_ndtr_is_bit_identical_to_scipy_over_the_full_range() -> None:
+    magnitudes = np.logspace(-320, 300, 20_001)
+    a = np.concatenate([np.linspace(-40.0, 40.0, 400_001), magnitudes, -magnitudes,
+                        np.random.default_rng(0).standard_normal(100_000)])
+    assert same_bits(quiet_ndtr(a), special.ndtr(a))
+
+
+def test_ndtr_is_bit_identical_to_scipy_at_branch_boundaries() -> None:
+    edges = [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e300, np.inf, *NDTR_BRANCH_POINTS]
+    values = []
+    for edge in edges:
+        for v in (edge, -edge):
+            values += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    a = np.array(values)
+    assert same_bits(quiet_ndtr(a), special.ndtr(a))
+    for v in values:  # a 0-d input gives a numpy scalar, as scipy's does
+        assert same_bits(quiet_ndtr(v), special.ndtr(v))
+        assert same_bits(quiet_ndtr(np.array(v)), special.ndtr(np.array(v)))
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (NDTR_BLOCK_ROWS - 1,), (NDTR_BLOCK_ROWS + 1,),
+                                   (3, NDTR_BLOCK_ROWS // 2 + 1), (2, 3, 5)])
+def test_ndtr_keeps_its_bits_across_blocks_and_shapes(shape) -> None:
+    a = np.random.default_rng(1).standard_normal(shape) * 10.0
+    assert same_bits(quiet_ndtr(a), special.ndtr(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False))
+def test_ndtr_equals_scipy_on_any_float(a) -> None:
+    assert same_bits(quiet_ndtr(a), special.ndtr(a))
+
+
+def scipy_logsumexp(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return special.logsumexp(a, axis=0, b=b)
+
+
+def mixture_terms(k: int, shape: tuple, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """K log terms of the given trailing shape and weights of shape (K, 1, ...)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 5.0, (k, *shape))
+    b = rng.dirichlet(np.ones(k)).reshape((k,) + (1,) * len(shape))
+    return a, b
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("shape", [(), (7,), (40, 33)], ids=["0-d", "vector", "grid"])
+def test_logsumexp_is_bit_identical_to_scipy(k, shape) -> None:
+    a, b = mixture_terms(k, shape, seed=k)
+    cases = [a]
+    if k > 1:
+        tied = a.copy()
+        tied[k - 1] = tied[0]  # two maximal terms wherever the first is largest
+        far = a.copy()
+        far[1:] -= 1e4 * np.arange(1, k).reshape((k - 1,) + (1,) * len(shape))
+        cases += [tied, np.round(a), far]
+    for terms in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(terms, b)
+        assert same_bits(got, scipy_logsumexp(terms, b))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_logsumexp_with_a_zero_weight_is_bit_identical_to_scipy(k) -> None:
+    a, b = mixture_terms(k, (50,), seed=10 + k)
+    b[0] = 0.0
+    b /= b.sum()
+    a[0] += 100.0  # the zero-weight term is the largest, and must not count
+    assert same_bits(logsumexp(a, b), scipy_logsumexp(a, b))
+
+
+def test_logsumexp_over_a_density_grid_block_is_bit_identical_to_scipy() -> None:
+    # the (K, ny, step) layout of density_grid_csv, with ties and underflow
+    k, ny, step = 2, 48, 21
+    a, b = mixture_terms(k, (ny, step), seed=3)
+    a[1, ::3] = a[0, ::3]
+    a[:, 5] = -np.inf  # every component underflows on this row
+    a[0, 7] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logsumexp(a, b)
+    assert got.shape == (ny, step)
+    assert np.all(got[5] == -np.inf)
+    assert same_bits(got, scipy_logsumexp(a, b))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_logsumexp_of_an_all_underflow_column_is_minus_inf(k) -> None:
+    # log1p(s/m) + log(m) + max is nan there; the direct log(sum b exp(a)) is -inf
+    a, b = mixture_terms(k, (4,), seed=20 + k)
+    a[:, 2] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logsumexp(a, b)
+    assert got[2] == -np.inf and np.all(np.isfinite(got[[0, 1, 3]]))
+    assert same_bits(got, scipy_logsumexp(a, b))
+    column = logsumexp(a[:, 2], b[:, 0])
+    assert same_bits(column, np.float64(-np.inf))

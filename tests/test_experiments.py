@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from uqeval.metrics import (
 )
 from uqeval.experiments import (
     SIZES,
+    _bias_replicate,
     StabilityResult,
     StabilityRow,
     bias_experiment,
@@ -195,6 +197,18 @@ def test_pooled_bias_warns_in_the_caller(monkeypatch) -> None:
     assert all(math.isnan(row.report.spearman) for row in result.rows)
 
 
+def _bias_replicate_then_report_scipy(rep: int) -> bool:
+    # a mixture's densities and CDFs, and every metric, as in a bias worker
+    kind = DatasetKind.MULTIMODAL
+    _bias_replicate(TrueDistributionPredictor(kind), kind, 0, EvalConfig(), (8, 4097), rep)
+    return "scipy" in sys.modules
+
+
+def test_bias_workers_never_import_scipy(monkeypatch) -> None:
+    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
+    assert predictors.map_on_cores(_bias_replicate_then_report_scipy, [0, 1]) == [False, False]
+
+
 def test_sparsification_csv_layout() -> None:
     text = "".join(sparsification_csv(ORACLE_HET, DatasetKind.HETEROSCEDASTIC, base_seed=0, n=64))
     lines = text.strip().split("\n")
@@ -284,7 +298,7 @@ def test_density_grid_memory_is_the_grid_plus_one_chunk(nx, ny) -> None:
     # text of about CSV_BLOCK_ROWS cells.
     predictor = TrueDistributionPredictor(DatasetKind.MULTIMODAL)
     xs, ys = np.linspace(0.0, 1.0, nx), np.linspace(-2.0, 2.0, ny)
-    list(density_grid_csv(predictor, xs[:2], ys[:2]))  # loads scipy.special untraced
+    list(density_grid_csv(predictor, xs[:2], ys[:2]))  # one-time set-up runs untraced
     tracemalloc.start()
     try:
         for _ in density_grid_csv(predictor, xs, ys):
