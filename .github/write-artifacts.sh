@@ -9,8 +9,10 @@
 # blocks (1, 2 and 49 rows; 49 is a size where the sparsification grid
 # floors some removal counts below k), the 200003-row oracle layout (three
 # record blocks plus a remainder), the sparsification curve at exactly one
-# block of CURVE_BLOCK_ROWS (4096 rows) and at one block plus a row, a
-# density grid filled in four blocks of x values, and a trained ensemble
+# block of CURVE_BLOCK_ROWS (4096 rows) and at one block plus a row,
+# density grids filled in blocks of y values (four blocks of 54 at 300 x
+# values; one y value per block on a tall 16389 x 2 grid; a wide 3 x 16389
+# grid in three blocks of 5461 and a short fourth), and a trained ensemble
 # with each command that takes it, at 135169 rows too (two record blocks,
 # the second ending in a merged 4097-row chunk).  A second ensemble trains on 1024 rows, 8 batches
 # per epoch, so its bytes cover 800 optimizer steps per member.  The bias
@@ -69,6 +71,8 @@ for n in 4096 4097; do
   uqeval eval --dataset heteroscedastic --n $n --out "eval-curve-$n.csv"
 done
 uqeval density-grid --dataset multimodal --nx 300 --ny 200 --out density-grid-x-blocks.csv
+uqeval density-grid --dataset multimodal --nx 16389 --ny 2 --out density-grid-tall.csv
+uqeval density-grid --dataset multimodal --nx 3 --ny 16389 --out density-grid-wide.csv
 uqeval eval --dataset multimodal --n 200003 --out eval-blocks.csv
 uqeval bias --replicates 3 --out bias.csv
 uqeval bias --replicates 1 --out bias-1.csv

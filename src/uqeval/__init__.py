@@ -45,7 +45,6 @@ from .predictors import (
 from .experiments import (
     RunManifest,
     StabilityResult,
-    StabilityRow,
     bias_experiment,
     convergence_experiment,
     density_grid_csv,

@@ -8,12 +8,14 @@ the result goes to stdout.  Its parameters are every option as resolved
 (defaults included), minus --out, plus model_sha256 for a loaded model
 and train's fixed recipe, so config_hash differs whenever any flag does.
 Artifacts and manifests are written to a temp file and renamed into
-place, so a failed run leaves no partial file.
+place, so a failed run leaves no partial file; an --out that is empty,
+a directory, or in a missing directory fails before the command runs.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import re
 import sys
@@ -173,6 +175,14 @@ def _predictor(args):
     return predictor
 
 
+def _check_out(path: str) -> None:
+    """Raises OSError naming `path` when no file can be made there, before a command's work."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "--out is a directory", path)
+    if not path or not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise FileNotFoundError(errno.ENOENT, "--out names no file in an existing directory", path)
+
+
 def _replace_atomically(path: str, write) -> None:
     """Calls `write(tmp)` on a fresh file next to `path`, then renames it onto `path`.
 
@@ -296,6 +306,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(f"{parser.format_usage()}error: a command is required")
+        if args.out is not None:
+            _check_out(args.out)
         _emit(args, argv, _COMMANDS[args.command](args))
     except UsageError as exc:
         print(exc, file=sys.stderr)

@@ -20,13 +20,12 @@ import hashlib
 import itertools
 import json
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from .datasets import CSV_BLOCK_ROWS, DatasetKind, Split, csv_chunks, csv_rows, generate
-from .distributions import Gaussian, GaussianMixture
 from .metrics import EvalConfig, MetricReport, evaluate, sparsification_curve
 from .predictors import make_records, map_on_cores
 from .seeds import TAG_REPLICATE, TAG_SUBSET, derive_seed, make_rng
@@ -38,22 +37,18 @@ DEFAULT_REPLICATES = 100
 # ----------------------------------------------------------------- stability
 
 @dataclass(frozen=True)
-class StabilityRow:
-    test_size: int
-    report: MetricReport
-
-
-@dataclass(frozen=True)
 class StabilityResult:
-    rows: tuple[StabilityRow, ...]
+    """One study: `reports[i]` is the metric report at test set size `sizes[i]`."""
+
+    sizes: tuple[int, ...]
+    reports: tuple[MetricReport, ...]
 
     def to_csv(self, mean_prefix: bool = False) -> str:
         names = ("ause", "spearman", "nll", "ece")
         header = ",".join(["test_size"] + [("mean_" if mean_prefix else "") + c for c in names])
-        reports = [row.report for row in self.rows]
-        return "".join(csv_chunks(
-            header, [row.test_size for row in self.rows], [r.ause for r in reports],
-            [r.spearman for r in reports], [r.nll for r in reports], [r.ce for r in reports]))
+        columns = ([getattr(r, field) for r in self.reports]
+                   for field in ("ause", "spearman", "nll", "ce"))
+        return "".join(csv_chunks(header, self.sizes, *columns))
 
 
 def convergence_experiment(
@@ -63,24 +58,22 @@ def convergence_experiment(
     eval_config: EvalConfig | None = None,
     sizes: tuple[int, ...] = SIZES,
 ) -> StabilityResult:
-    data = generate(kind, Split.TEST, max(sizes), base_seed)
-    records = make_records(predictor, data)
+    """The test set is dropped once scored; each subset is dropped once evaluated."""
+    records = make_records(predictor, generate(kind, Split.TEST, max(sizes), base_seed))
     perm = make_rng(derive_seed(base_seed, TAG_SUBSET)).permutation(len(records))
-    rows = []
-    for size in sizes:
-        subset = records.take(perm[:size])
-        rows.append(StabilityRow(size, evaluate(subset, eval_config)))
-    return StabilityResult(tuple(rows))
+    reports = [evaluate(records.take(perm[:size]), eval_config) for size in sizes]
+    return StabilityResult(tuple(sizes), tuple(reports))
 
 
 def _bias_replicate(predictor, kind, base_seed, eval_config, sizes, rep) -> list[MetricReport]:
-    """Replicate `rep`'s report at every size, each on its own seeded test set."""
-    reports = []
-    for size_ix, size in enumerate(sizes):
-        seed = derive_seed(base_seed, TAG_REPLICATE, size_ix, rep)
-        data = generate(kind, Split.TEST, size, seed)
-        reports.append(evaluate(make_records(predictor, data), eval_config))
-    return reports
+    """Replicate `rep`'s report at every size, each on its own seeded test set.
+
+    A size's test set is freed once scored and its records once evaluated,
+    so none of them is held while the next size is made.
+    """
+    seeds = [derive_seed(base_seed, TAG_REPLICATE, size_ix, rep) for size_ix in range(len(sizes))]
+    return [evaluate(make_records(predictor, generate(kind, Split.TEST, size, seed)), eval_config)
+            for size, seed in zip(sizes, seeds)]
 
 
 def bias_experiment(
@@ -95,23 +88,18 @@ def bias_experiment(
 
     Replicates are scored side by side through `map_on_cores`, one task
     each; every test set has its own seed, so the means are bit-identical
-    to scoring them one after another.
+    to scoring them one after another.  Each mean is np.mean of one
+    field's values in replicate order.
     """
     if replicates < 1:
         raise ValueError("replicates must be positive")
     score = partial(_bias_replicate, predictor, kind, base_seed, eval_config, sizes)
     per_rep = map_on_cores(score, range(replicates))
-    rows = []
-    for size_ix, size in enumerate(sizes):
-        reports = [rep_reports[size_ix] for rep_reports in per_rep]  # in replicate order
-        mean = MetricReport(
-            ause=float(np.mean([r.ause for r in reports])),
-            ce=float(np.mean([r.ce for r in reports])),
-            spearman=float(np.mean([r.spearman for r in reports])),
-            nll=float(np.mean([r.nll for r in reports])),
-        )
-        rows.append(StabilityRow(size, mean))
-    return StabilityResult(tuple(rows))
+    means = (  # zip gives one size's reports at a time, in replicate order
+        MetricReport(**{f.name: float(np.mean([getattr(r, f.name) for r in at_size]))
+                        for f in fields(MetricReport)})
+        for at_size in zip(*per_rep))
+    return StabilityResult(tuple(sizes), tuple(means))
 
 
 # ----------------------------------------------------------------- artifact CSVs
@@ -128,13 +116,6 @@ def sparsification_csv(predictor, kind: DatasetKind, base_seed: int, n: int) -> 
                       curve.fractions, curve.by_oracle, curve.by_uncertainty)
 
 
-def _rows(dist, lo: int, hi: int):
-    """The distributions of rows lo..hi-1 of `dist`, from its sliced parameters."""
-    if isinstance(dist, GaussianMixture):
-        return GaussianMixture(dist.weights, tuple(_rows(c, lo, hi) for c in dist.components))
-    return Gaussian(dist.mean[lo:hi], dist.variance[lo:hi])
-
-
 def density_grid_csv(
     predictor,
     x_values: np.ndarray,
@@ -143,9 +124,10 @@ def density_grid_csv(
     """Rows iterate x in the outer loop and y in the inner loop.
 
     Each chunk of text holds the rows of about CSV_BLOCK_ROWS // ny x values.
-    The predictor runs once over all x; the log densities are then filled
-    into one (nx, ny) array a block of those x values at a time, so the
-    temporaries stay the size of one chunk.  A log density that is not
+    The predictor runs once over all x; its log densities are then filled
+    into one (nx, ny) array a block of about CSV_BLOCK_ROWS // nx y values
+    at a time, at least one, so the temporaries stay the size of one chunk
+    or of one y value over all x.  A log density that is not
     finite somewhere on the grid (a non-finite grid value, or one so far
     out that the density underflows to 0) raises ValueError naming the
     first such point, before any text is made.
@@ -153,19 +135,20 @@ def density_grid_csv(
     x_values = np.asarray(x_values, dtype=np.float64)
     y_values = np.asarray(y_values, dtype=np.float64)
     nx, ny = len(x_values), len(y_values)
-    step = max(1, CSV_BLOCK_ROWS // max(1, ny))
     dist = predictor.predict(x_values)
     z = np.empty((nx, ny))  # z[i, j] at (x[i], y[j])
-    for i in range(0, nx, step):
-        z[i : i + step] = _rows(dist, i, i + step).log_density(y_values[:, None]).T
+    y_step = max(1, CSV_BLOCK_ROWS // max(1, nx))
+    for j in range(0, ny, y_step):
+        z[:, j : j + y_step] = dist.log_density(y_values[j : j + y_step, None]).T
     if not np.isfinite(z).all():
         i, j = np.argwhere(~np.isfinite(z))[0]
         raise ValueError(f"log density {z[i, j]} at x {x_values[i]}, y {y_values[j]}")
+    x_step = max(1, CSV_BLOCK_ROWS // max(1, ny))
     blocks = (
-        csv_rows(np.repeat(x_values[i : i + step], ny),
-                 np.tile(y_values, len(x_values[i : i + step])),
-                 z[i : i + step].ravel())
-        for i in range(0, nx, step)
+        csv_rows(np.repeat(x_values[i : i + x_step], ny),
+                 np.tile(y_values, len(x_values[i : i + x_step])),
+                 z[i : i + x_step].ravel())
+        for i in range(0, nx, x_step)
     )
     return itertools.chain(["x,y,z\n"], blocks)
 

@@ -230,14 +230,14 @@ def test_criterion_10_stability_harness():
     oracle = TrueDistributionPredictor(kind)
     with Stopwatch() as clock:
         convergence = convergence_experiment(oracle, kind, base_seed=1)
-        by_size = {row.test_size: row.report for row in convergence.rows}
+        by_size = dict(zip(convergence.sizes, convergence.reports))
         for name in ("ause", "ce", "spearman", "nll"):
             small = getattr(by_size[2**10], name)
             large = getattr(by_size[2**16], name)
             assert abs(large - small) < 0.05, f"{name}: {small} vs {large}"
 
         bias = bias_experiment(oracle, kind, base_seed=1, replicates=100)
-        means = {row.test_size: row.report for row in bias.rows}
+        means = dict(zip(bias.sizes, bias.reports))
         for name in ("ause", "ce"):
             small = getattr(means[2**12], name)
             large = getattr(means[2**16], name)

@@ -212,6 +212,21 @@ def test_runtime_failures_exit_2(tmp_path, capsys) -> None:
     assert ".tmp" not in err
 
 
+def test_unwritable_out_fails_before_the_command_runs(tmp_path, monkeypatch, capsys) -> None:
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_ensemble was called")
+
+    monkeypatch.setattr(uqeval.cli, "train_ensemble", no_training)
+    missing = tmp_path / "missing" / "m.npz"
+    for out in (missing, tmp_path, ""):  # a missing directory, a directory, no name
+        code = run(["train", "--dataset", "homoscedastic", "--n", "64", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(out)) in err
+        assert ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_oracle_to_stdout(capsys) -> None:
     code = run(["eval", "--dataset", "heteroscedastic", "--n", "512", "--seed", "0"])
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,6 +53,26 @@ def test_generate_is_pure(kind, split) -> None:
     b = generate(kind, split, 257, 11)
     assert np.array_equal(a.xs, b.xs)
     assert np.array_equal(a.ys, b.ys)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("split", list(Split))
+def test_generate_memory_is_a_few_columns(kind, split) -> None:
+    # At its widest, generate holds xs, the two mean columns of a multimodal
+    # draw, the uniform draw that picks each row's mode and that draw's
+    # 1-byte comparison mask: four float64 columns and n bytes.  The noise
+    # draw is scaled and shifted in place (numpy reuses a temporary's
+    # buffer), and the means are freed before LabeledSet's checks.
+    n = 2**18
+    generate(kind, split, 16, 0)  # one-time set-up runs untraced
+    tracemalloc.start()
+    try:
+        data = generate(kind, split, n, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) == n
+    assert peak <= 4 * 8 * n + n + 64 * 1024
 
 
 def test_generate_differs_across_seed_kind_split() -> None:

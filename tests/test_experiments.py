@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
-from uqeval import predictors
+from uqeval import experiments, predictors
+from uqeval.distributions import Gaussian, GaussianMixture
 from uqeval.metrics import (
+    CURVE_BLOCK_ROWS,
     EvalConfig,
     MetricReport,
     RankTieMode,
@@ -22,7 +25,6 @@ from uqeval.experiments import (
     SIZES,
     _bias_replicate,
     StabilityResult,
-    StabilityRow,
     bias_experiment,
     convergence_experiment,
     density_grid_csv,
@@ -51,9 +53,8 @@ def test_convergence_rows_and_determinism() -> None:
     sizes = (8, 16, 32)
     a = convergence_experiment(ORACLE_HET, base_seed=1, sizes=sizes)
     b = convergence_experiment(ORACLE_HET, base_seed=1, sizes=sizes)
-    assert [r.test_size for r in a.rows] == list(sizes)
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra.report == rb.report
+    assert a.sizes == sizes
+    assert a.reports == b.reports
 
 
 def test_convergence_subsets_are_nested_prefixes() -> None:
@@ -61,7 +62,7 @@ def test_convergence_subsets_are_nested_prefixes() -> None:
     # are requested, because subsets are prefixes of one seeded permutation
     full = convergence_experiment(ORACLE_HET, base_seed=3, sizes=(8, 16, 64))
     solo = convergence_experiment(ORACLE_HET, base_seed=3, sizes=(64,))
-    assert full.rows[-1].report == solo.rows[0].report
+    assert full.reports[-1] == solo.reports[0]
 
 
 def test_convergence_full_size_equals_one_shot_evaluation() -> None:
@@ -69,11 +70,61 @@ def test_convergence_full_size_equals_one_shot_evaluation() -> None:
     result = convergence_experiment(ORACLE_HET, base_seed=0, sizes=(n,))
     data = generate(DatasetKind.HETEROSCEDASTIC, Split.TEST, n, 0)
     direct = evaluate(make_records(ORACLE_HET, data), EvalConfig())
-    row = result.rows[0].report
+    row = result.reports[0]
     assert row.ause == pytest.approx(direct.ause, rel=1e-12)
     assert row.ce == pytest.approx(direct.ce, rel=1e-12)
     assert row.spearman == pytest.approx(direct.spearman, rel=1e-12)
     assert row.nll == pytest.approx(direct.nll, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", [DatasetKind.HETEROSCEDASTIC, DatasetKind.MULTIMODAL])
+def test_stability_memory_is_records_permutation_and_one_subset(monkeypatch, kind) -> None:
+    # A study of N rows holds, while it scores its largest subset, the four
+    # record arrays (4 * 8N), the int64 permutation (8N) and the subset's
+    # four arrays (4 * 8N): neither the test set nor an earlier subset.
+    # Scoring adds at most the bound that
+    # test_metric_memory_is_four_arrays_plus_one_block holds each metric to.
+    # Making the records holds the test set (2 * 8N), the records and one
+    # record block's temporaries (about 18 arrays of RECORD_BLOCK_ROWS for
+    # the multimodal oracle, the widest), which at N = 4 * RECORD_BLOCK_ROWS
+    # is less than scoring holds.
+    n = 4 * predictors.RECORD_BLOCK_ROWS
+    predictor = TrueDistributionPredictor(kind)
+    convergence_experiment(predictor, kind, sizes=(16,))  # one-time set-up runs untraced
+    entries, real = [], experiments.evaluate
+
+    def traced(records, *args):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return real(records, *args)
+
+    monkeypatch.setattr(experiments, "evaluate", traced)
+    tracemalloc.start()
+    try:
+        convergence_experiment(predictor, kind, sizes=(16, n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    jitter = 64 * 1024
+    held = 9 * 8 * n
+    assert entries[-1] <= held + jitter, entries
+    assert peak <= held + 4 * 8 * n + n + 8 * 8 * CURVE_BLOCK_ROWS + jitter, (peak, entries)
+
+
+def test_in_process_bias_memory_does_not_grow_with_replicates(monkeypatch) -> None:
+    # Each replicate's test sets and records are freed once scored; what is
+    # kept is two MetricReports per replicate.
+    monkeypatch.setattr(predictors, "_available_cores", lambda: 1)
+    sizes = (8, 2**14)
+    bias_experiment(ORACLE_HET, replicates=1, sizes=sizes)  # one-time set-up runs untraced
+    peaks = []
+    for replicates in (1, 3):
+        tracemalloc.start()
+        try:
+            bias_experiment(ORACLE_HET, replicates=replicates, sizes=sizes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 16 * 1024, peaks
 
 
 def test_evaluate_records_nan_under_constant_uncertainty() -> None:
@@ -90,7 +141,7 @@ def test_stability_csv_format_and_nan_marker() -> None:
     data = generate(DatasetKind.HOMOSCEDASTIC, Split.TEST, 32, 0)
     with pytest.warns(RuntimeWarning):
         report = evaluate(make_records(ORACLE_HOMO, data))
-    result = StabilityResult(rows=(StabilityRow(32, report),))
+    result = StabilityResult(sizes=(32,), reports=(report,))
     text = result.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "test_size,ause,spearman,nll,ece"
@@ -110,7 +161,7 @@ def test_bias_single_replicate_matches_direct_evaluation() -> None:
     seed = derive_seed(5, TAG_REPLICATE, 0, 0)
     data = generate(DatasetKind.HETEROSCEDASTIC, Split.TEST, size, seed)
     direct = evaluate(make_records(ORACLE_HET, data), EvalConfig())
-    row = result.rows[0].report
+    row = result.reports[0]
     assert row.ause == pytest.approx(direct.ause, rel=1e-12)
     assert row.nll == pytest.approx(direct.nll, rel=1e-12)
 
@@ -120,16 +171,16 @@ def test_bias_replicates_average_and_determinism() -> None:
     a = bias_experiment(ORACLE_HET, base_seed=2, replicates=3, sizes=sizes)
     b = bias_experiment(ORACLE_HET, base_seed=2, replicates=3, sizes=sizes)
     assert a == b
-    assert [r.test_size for r in a.rows] == list(sizes)
+    assert a.sizes == sizes
     single = bias_experiment(ORACLE_HET, base_seed=2, replicates=1, sizes=sizes)
-    assert a.rows[0].report.nll != single.rows[0].report.nll
+    assert a.reports[0].nll != single.reports[0].nll
     with pytest.raises(ValueError):
         bias_experiment(ORACLE_HET, replicates=0, sizes=sizes)
 
 
 def serial_bias_experiment(predictor, kind, base_seed, replicates, eval_config, sizes):
     """Reference: every test set scored in this process, size by size."""
-    rows = []
+    means = []
     for size_ix, size in enumerate(sizes):
         reports = []
         for rep in range(replicates):
@@ -142,10 +193,11 @@ def serial_bias_experiment(predictor, kind, base_seed, replicates, eval_config, 
             spearman=float(np.mean([r.spearman for r in reports])),
             nll=float(np.mean([r.nll for r in reports])),
         )
-        rows.append(StabilityRow(size, mean))
-    return StabilityResult(tuple(rows))
+        means.append(mean)
+    return StabilityResult(tuple(sizes), tuple(means))
 
 
+@functools.cache
 def _tiny_ensemble():
     train = generate(DatasetKind.HETEROSCEDASTIC, Split.TRAIN, 256, 0)
     return train_ensemble(train, TrainConfig(ensemble_size=2, epochs=1))
@@ -194,7 +246,7 @@ def test_pooled_bias_warns_in_the_caller(monkeypatch) -> None:
     monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
     with pytest.warns(RuntimeWarning, match="spearman undefined"):
         result = bias_experiment(ORACLE_HOMO, DatasetKind.HOMOSCEDASTIC, replicates=2, sizes=(8, 16))
-    assert all(math.isnan(row.report.spearman) for row in result.rows)
+    assert all(math.isnan(report.spearman) for report in result.reports)
 
 
 def _bias_replicate_then_report_scipy(rep: int) -> bool:
@@ -254,14 +306,32 @@ def string_built_sparsification_csv(predictor, kind, base_seed, n) -> str:
     return "\n".join(lines) + "\n"
 
 
-def string_built_density_grid_csv(predictor, x_values, y_values) -> str:
-    """Reference: the grid CSV as one string, one f-string per row."""
-    z = predictor.predict(x_values).log_density(y_values[:, None]).T
+def grid_text(x_values, y_values, z) -> str:
+    """Reference: the grid CSV of z[i, j] at (x[i], y[j]) as one string, one f-string per row."""
     lines = ["x,y,z"]
     for i, x in enumerate(x_values):
         for j, y in enumerate(y_values):
             lines.append(f"{float(x)!r},{float(y)!r},{float(z[i, j])!r}")
     return "\n".join(lines) + "\n"
+
+
+def _slice_rows(dist, lo: int, hi: int):
+    """The distributions of rows lo..hi-1 of `dist`, from its sliced parameters."""
+    if isinstance(dist, GaussianMixture):
+        return GaussianMixture(dist.weights, tuple(_slice_rows(c, lo, hi) for c in dist.components))
+    return Gaussian(dist.mean[lo:hi], dist.variance[lo:hi])
+
+
+def x_blocked_log_densities(dist, nx: int, y_values) -> np.ndarray:
+    """Reference: the grid filled by blocks of CSV_BLOCK_ROWS // ny x values, each its own mixture."""
+    step = max(1, CSV_BLOCK_ROWS // len(y_values))
+    return np.concatenate([_slice_rows(dist, i, i + step).log_density(y_values[:, None]).T
+                           for i in range(0, nx, step)])
+
+
+def pointwise_log_densities(dist, nx: int, y_values) -> np.ndarray:
+    """Reference: column j holds each x's distribution at y[j] alone, nothing broadcast."""
+    return np.stack([dist.log_density(np.full(nx, y)) for y in y_values], axis=1)
 
 
 def test_streamed_sparsification_csv_equals_string_built_text() -> None:
@@ -272,23 +342,29 @@ def test_streamed_sparsification_csv_equals_string_built_text() -> None:
     assert "".join(chunks) == expected
 
 
-@pytest.mark.parametrize("nx, ny", [(131, 257), (3, CSV_BLOCK_ROWS + 5), (1, 1)])
-def test_streamed_density_grid_csv_equals_string_built_text(nx, ny) -> None:
-    predictor = TrueDistributionPredictor(DatasetKind.MULTIMODAL)
+GRID_PREDICTORS = {
+    "multimodal-oracle": lambda: TrueDistributionPredictor(DatasetKind.MULTIMODAL),
+    "heteroscedastic-oracle": lambda: ORACLE_HET,
+    "ensemble": lambda: _tiny_ensemble(),
+}
+
+
+@pytest.mark.parametrize("nx, ny", [(CSV_BLOCK_ROWS + 5, 3), (3, CSV_BLOCK_ROWS + 5),
+                                    (131, 257), (1, 1)])
+@pytest.mark.parametrize("name", sorted(GRID_PREDICTORS))
+def test_streamed_density_grid_csv_equals_string_built_text(name, nx, ny) -> None:
+    # The predictor runs once over all x (an ensemble's bits depend on its
+    # chunk layout); z is then filled in y blocks, which must give the bits
+    # of one elementwise call per y value and of filling z in x blocks.
+    predictor = GRID_PREDICTORS[name]()
     xs = np.linspace(0.0, 1.0, nx)
     ys = np.linspace(-2.0, 2.0, ny)
     chunks = list(density_grid_csv(predictor, xs, ys))
     assert all(c.count("\n") < 2 * CSV_BLOCK_ROWS for c in chunks)
-    assert "".join(chunks) == string_built_density_grid_csv(predictor, xs, ys)
-
-
-def test_ensemble_density_grid_csv_equals_string_built_text() -> None:
-    # the network runs once over all x; its densities are then filled in x blocks
-    predictor = _tiny_ensemble()
-    xs = np.linspace(-1.0, 1.0, 131)
-    ys = np.linspace(-2.0, 2.0, 257)  # 63 x values per block
-    text = "".join(density_grid_csv(predictor, xs, ys))
-    assert text == string_built_density_grid_csv(predictor, xs, ys)
+    dist = predictor.predict(xs)
+    pointwise = pointwise_log_densities(dist, nx, ys)
+    assert x_blocked_log_densities(dist, nx, ys).tobytes() == pointwise.tobytes()
+    assert "".join(chunks) == grid_text(xs, ys, pointwise)
 
 
 @pytest.mark.parametrize("nx, ny", [(300, 200), (600, 500)])
