@@ -227,6 +227,19 @@ def test_unwritable_out_fails_before_the_command_runs(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--dataset", "homoscedastic", "--predictor", "ensemble"],  # no --model-path
+    ["density-grid", "--dataset", "multimodal", "--x-min", "1", "--x-max", "0"],  # empty range
+])
+def test_unwritable_out_takes_precedence_over_a_usage_error(tmp_path, capsys, argv) -> None:
+    out = tmp_path / "missing" / "a.csv"
+    assert run(argv) == 1
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 2
+    assert repr(str(out)) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_oracle_to_stdout(capsys) -> None:
     code = run(["eval", "--dataset", "heteroscedastic", "--n", "512", "--seed", "0"])
     assert code == 0
