@@ -14,8 +14,13 @@
 # values; one y value per block on a tall 16389 x 2 grid; a wide 3 x 16389
 # grid in three blocks of 5461 and a short fourth), and a trained ensemble
 # with each command that takes it, at 135169 rows too (two record blocks,
-# the second ending in a merged 4097-row chunk).  A second ensemble trains on 1024 rows, 8 batches
-# per epoch, so its bytes cover 800 optimizer steps per member.  The bias
+# the second ending in a merged 4097-row chunk).  A sparsification curve
+# (262145 x 3 cells) and a dataset (393217 x 2) are one row past
+# POOL_MIN_CELLS (3 x 2^18 cells), so with more than one available core
+# their chunks of text are formatted in worker processes, and on one core
+# in-process; the workflow diffs a one-core run against the others.  A
+# second ensemble trains on 1024 rows, 8 batches per epoch, so its bytes
+# cover 800 optimizer steps per member.  The bias
 # runs score their replicates in worker processes, except `--replicates 1`,
 # which scores in-process; the homoscedastic stability CSV holds `nan` cells.
 # Each default a command resolves is recorded in its manifest: `generate`
@@ -32,7 +37,7 @@
 # an exact-zero PIT; inside a mixture PIT a cut term adds nothing that a
 # subnormal would not.
 # Commands run inside OUT_DIR with relative --out paths, so the manifests
-# of two runs compare too.  BLAS settings come from the caller's environment.
+# of two runs compare too; OUT_DIR ends up with 118 files.  BLAS settings come from the caller's environment.
 set -euo pipefail
 
 src=$(cd "$1" && pwd)
@@ -66,6 +71,8 @@ uqeval density-grid --dataset heteroscedastic --x-min=-0.5 --x-max 0.25 --nx 16 
   --out density-grid-x-bounds.csv
 uqeval sparsify --dataset homoscedastic --n 49 --out sparsify-49.csv
 uqeval sparsify --dataset multimodal --n 200003 --out sparsify-blocks.csv
+uqeval sparsify --dataset multimodal --n 262145 --out sparsify-pooled.csv
+uqeval generate --dataset heteroscedastic --n 393217 --out generate-pooled.csv
 for n in 4096 4097; do
   uqeval sparsify --dataset heteroscedastic --n $n --out "sparsify-curve-$n.csv"
   uqeval eval --dataset heteroscedastic --n $n --out "eval-curve-$n.csv"

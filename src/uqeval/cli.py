@@ -19,7 +19,7 @@ import errno
 import os
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Generator, Iterable
 
 import numpy as np
 
@@ -214,15 +214,23 @@ def _emit(args, argv: list[str], output) -> None:
     handler resolved it, except `command` and `out`.  With `--out` the
     artifact and then `<out>.manifest.json` are written atomically;
     without it the chunks go to stdout and the manifest to stderr.
+    Chunks from a generator are closed once written or once writing them
+    fails, which ends any worker pool still formatting them.
     """
     params = {key: value for key, value in vars(args).items()
               if key not in ("command", "out") and value is not None}
+    try:
+        if args.out is None:
+            sys.stdout.writelines(output)
+        else:
+            write = output if callable(output) else lambda tmp: _write_text(tmp, output)
+            _replace_atomically(args.out, write)
+    finally:
+        if isinstance(output, Generator):
+            output.close()
     if args.out is None:
-        sys.stdout.writelines(output)
         sys.stderr.write(make_manifest(args.command, argv, params, []).to_json())
         return
-    write = output if callable(output) else lambda tmp: _write_text(tmp, output)
-    _replace_atomically(args.out, write)
     manifest = make_manifest(args.command, argv, params, [args.out])
     _replace_atomically(f"{args.out}.manifest.json", lambda tmp: _write_text(tmp, [manifest.to_json()]))
 

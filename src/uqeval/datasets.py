@@ -19,17 +19,21 @@ normal noises.  Everything is a pure function of (kind, split, n, seed).
 from __future__ import annotations
 
 import enum
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cores import map_on_cores
 from .seeds import TAG_DATASET, derive_seed, make_rng
 
 GAP_LOW = 0.35
 GAP_HIGH = 0.65
 CSV_BLOCK_ROWS = 2**14  # rows formatted per chunk of artifact text
+# Cells (rows x columns) from which `csv_chunks` formats on every core: on
+# 2 cores, 2^18 rows x 3 columns is about break-even, as spawning the workers
+# costs about as much as the second core saves.
+POOL_MIN_CELLS = 3 * 2**18
 
 
 class DomainError(ValueError):
@@ -139,14 +143,27 @@ def csv_rows(*columns) -> str:
     return "".join([line % row for row in rows])
 
 
+def _block_text(columns) -> str:
+    return csv_rows(*columns)
+
+
 def csv_chunks(header: str, *columns) -> Iterator[str]:
-    """The header line, then the rows of `columns` in chunks of CSV_BLOCK_ROWS."""
+    """The header line, then the rows of `columns` in chunks of CSV_BLOCK_ROWS.
+
+    A text of at least POOL_MIN_CELLS cells is formatted by `map_on_cores`,
+    one task per chunk, and a smaller one in this process, a chunk as it
+    is asked for.  A chunk's text depends only on its own rows, so the
+    bytes do not depend on the path or on the number of cores.  Closing
+    the iterator early ends any pool it started.
+    """
     n = len(columns[0])
-    return itertools.chain(
-        [header + "\n"],
-        (csv_rows(*(c[lo : lo + CSV_BLOCK_ROWS] for c in columns))
-         for lo in range(0, n, CSV_BLOCK_ROWS)),
-    )
+    blocks = (tuple(c[lo : lo + CSV_BLOCK_ROWS] for c in columns)
+              for lo in range(0, n, CSV_BLOCK_ROWS))
+    yield header + "\n"
+    if n * len(columns) >= POOL_MIN_CELLS:
+        yield from map_on_cores(_block_text, blocks)
+    else:
+        yield from map(_block_text, blocks)
 
 
 def dataset_csv(data: LabeledSet) -> Iterator[str]:

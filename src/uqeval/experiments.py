@@ -25,9 +25,10 @@ from functools import partial
 
 import numpy as np
 
+from .cores import map_on_cores
 from .datasets import CSV_BLOCK_ROWS, DatasetKind, Split, csv_chunks, csv_rows, generate
 from .metrics import EvalConfig, MetricReport, evaluate, sparsification_curve
-from .predictors import make_records, map_on_cores
+from .predictors import make_records
 from .seeds import TAG_REPLICATE, TAG_SUBSET, derive_seed, make_rng
 
 SIZES = tuple(2**k for k in range(3, 17))
@@ -94,11 +95,10 @@ def bias_experiment(
     if replicates < 1:
         raise ValueError("replicates must be positive")
     score = partial(_bias_replicate, predictor, kind, base_seed, eval_config, sizes)
-    per_rep = map_on_cores(score, range(replicates))
     means = (  # zip gives one size's reports at a time, in replicate order
         MetricReport(**{f.name: float(np.mean([getattr(r, f.name) for r in at_size]))
                         for f in fields(MetricReport)})
-        for at_size in zip(*per_rep))
+        for at_size in zip(*map_on_cores(score, range(replicates))))
     return StabilityResult(tuple(sizes), tuple(means))
 
 

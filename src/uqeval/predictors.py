@@ -9,18 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-import os
-import threading
-import warnings
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .cores import map_on_cores
 from .datasets import DatasetKind, LabeledSet, _components
 from .distributions import Gaussian, GaussianMixture, moment_match
 from .metrics import EvaluationRecords
@@ -44,7 +39,6 @@ from .seeds import TAG_MEMBER, derive_seed, make_rng
 
 ENSEMBLE_FORMAT = "uqeval-ensemble-v1"
 RECORD_BLOCK_ROWS = 16 * FORWARD_CHUNK_ROWS  # rows scored at once by make_records
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -160,98 +154,6 @@ def _train_member(train: LabeledSet, config: TrainConfig, member: int) -> tuple[
     return params, epoch_losses
 
 
-def _available_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextmanager
-def _single_blas_thread_env():
-    """Sets the BLAS thread variables to 1, then restores this process's values."""
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-_worker_task = None  # (fn, the caller's numpy error state), set once in each pool worker
-
-
-def _start_worker(fn, np_errors: dict) -> None:
-    """Pool worker initializer: keeps the task, and ends the worker with its parent.
-
-    A spawned worker holds both ends of the executor's pipes, so a parent
-    killed by a signal would otherwise leave it training, or blocked on a
-    pipe, for good.  `parent_process().join()` waits on a pipe that only
-    the parent holds open, so it returns however the parent ends.
-    """
-    global _worker_task
-    _worker_task = (fn, np_errors)
-    parent = multiprocessing.parent_process()
-
-    def watch() -> None:
-        parent.join()
-        os._exit(1)
-
-    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
-
-
-def _call_recording_warnings(item):
-    """Runs fn(item) in a pool worker under the caller's numpy error state.
-
-    Returns the result and every warning the call issued as (text,
-    category) pairs, so the caller's own warning filters decide which of
-    them to show.
-    """
-    fn, np_errors = _worker_task
-    with warnings.catch_warnings(record=True) as caught, np.errstate(**np_errors):
-        warnings.simplefilter("always")
-        result = fn(item)
-    return result, [(str(w.message), w.category) for w in caught]
-
-
-def map_on_cores(fn, items) -> list:
-    """[fn(item) for item in items], with the calls spread over the available cores.
-
-    The calls run in min(available cores, len(items)) spawned worker
-    processes, or in this process when that is one.  `fn` and the items
-    must pickle, and each call's result may depend only on its item, so
-    the results are the same either way; they come back in item order.
-    `fn` is sent to each worker once, as it starts, and each task carries
-    only its item.
-    Each worker runs one BLAS thread.  Warnings a worker's call issues
-    are issued again here, as its result arrives.  A call that raises
-    raises here; when several do, the first in item order.  A worker
-    process that dies raises BrokenProcessPool.
-    """
-    items = list(items)
-    workers = min(_available_cores(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_start_worker,
-                             initargs=(fn, np.geterr())) as pool:
-        # spawned workers read the environment when they start: while map submits
-        with _single_blas_thread_env():
-            ordered = pool.map(_call_recording_warnings, items)
-            # the executor starts watching a new worker for death when a submit
-            # wakes it, so a no-op follows the submit that may have started one
-            pool.submit(int)
-        results = []
-        for result, caught in ordered:
-            for message, category in caught:
-                warnings.warn(message, category)
-            results.append(result)
-    return results
-
-
 def train_ensemble(train: LabeledSet, config: TrainConfig | None = None) -> EnsemblePredictor:
     """Trains every member independently from seeds derived off config.seed.
 
@@ -264,8 +166,8 @@ def train_ensemble(train: LabeledSet, config: TrainConfig | None = None) -> Ense
     config = config or TrainConfig()
     if len(train) == 0:
         raise ValueError("empty training set")
-    results = map_on_cores(partial(_train_member, train, config), range(config.ensemble_size))
-    params, history = zip(*results)
+    params, history = zip(*map_on_cores(partial(_train_member, train, config),
+                                        range(config.ensemble_size)))
     return EnsemblePredictor(params, config, tuple(tuple(losses) for losses in history))
 
 

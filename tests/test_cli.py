@@ -1,4 +1,6 @@
+import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,8 +16,9 @@ import uqeval
 import uqeval.cli
 import uqeval.datasets
 import uqeval.experiments
+from uqeval import cores
 from uqeval.cli import build_parser, run
-from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
+from uqeval.datasets import CSV_BLOCK_ROWS, POOL_MIN_CELLS, DatasetKind, Split, generate
 from uqeval.experiments import read_manifest, sha256_file
 from uqeval.metrics import CURVE_BLOCK_ROWS, REPORT_HEADER, evaluate
 from uqeval.predictors import TrueDistributionPredictor, make_records
@@ -489,6 +492,42 @@ def test_failed_rerun_keeps_the_previous_artifact(tmp_path, monkeypatch) -> None
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+class _DiskFullAfterOneBlock:
+    """A text file whose writelines raises ENOSPC once the header and one block are written."""
+
+    def __init__(self, path, *args, **kwargs):
+        self.path, self.fh = path, open(path, *args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, lines):
+        for i, line in enumerate(lines):
+            if i == 2:
+                raise OSError(errno.ENOSPC, "No space left on device", self.path)
+            self.fh.write(line)
+
+
+@pytest.mark.parametrize("command, n", [("sparsify", POOL_MIN_CELLS // 3),
+                                        ("generate", POOL_MIN_CELLS // 2)])
+def test_pooled_write_failure_leaves_no_files_and_no_workers(tmp_path, monkeypatch, capsys,
+                                                            command, n) -> None:
+    # the disk fills once the header and the first block of rows are written,
+    # with the pool's window of later blocks in flight
+    monkeypatch.setattr(cores, "_available_cores", lambda: 2)
+    monkeypatch.setattr(uqeval.cli, "open", _DiskFullAfterOneBlock, raising=False)
+    out = tmp_path / "out.csv"
+    code = run([command, "--dataset", "heteroscedastic", "--n", str(n), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"No space left on device: {str(out)!r}" in err
+    assert list(tmp_path.iterdir()) == []  # no out, no out.manifest.json, no temp file
+    assert multiprocessing.active_children() == []
+
+
 def _corrupt_model(src, dst, edit) -> None:
     with np.load(src) as archive:
         arrays = {key: archive[key] for key in archive.files}
@@ -608,8 +647,8 @@ def test_python_m_runs_the_cli(module) -> None:
 
 def test_pooled_bias_prints_an_undefined_metric_warning_once(tmp_path) -> None:
     # two workers even on a one-core machine; each meets the undefined Spearman
-    script = ("from uqeval import cli, predictors; "
-              "predictors._available_cores = lambda: 2; cli.main()")
+    script = ("from uqeval import cli, cores; "
+              "cores._available_cores = lambda: 2; cli.main()")
     out = tmp_path / "bias.csv"
     done = _python("-c", script, "bias", "--dataset", "homoscedastic", "--replicates", "2",
                      "--out", str(out))
@@ -622,7 +661,7 @@ def test_pooled_bias_prints_an_undefined_metric_warning_once(tmp_path) -> None:
 # has not been imported; argv[1] is a directory.  train and bias run pooled.
 NUMPY_ONLY_COMMANDS = """
 import contextlib, io, os, sys
-from uqeval import cli, predictors
+from uqeval import cli, cores
 
 def assert_no_scipy(after):
     assert "scipy" not in sys.modules, f"scipy imported by {after}"
@@ -637,7 +676,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["--help"]) == 0
 assert_no_scipy("--help")
 run("generate", "--dataset", "multimodal", "--n", "64")
-predictors._available_cores = lambda: 2  # two workers even on a one-core machine
+cores._available_cores = lambda: 2  # two workers even on a one-core machine
 run("train", "--dataset", "homoscedastic", "--n", "64")
 run("eval", "--dataset", "multimodal", "--n", "300")
 run("sparsify", "--dataset", "multimodal", "--n", "300")

@@ -1,19 +1,28 @@
+import functools
 import math
+import multiprocessing
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqeval import cores
+from uqeval.cli import run
 from uqeval.datasets import (
     CSV_BLOCK_ROWS,
+    POOL_MIN_CELLS,
     DatasetKind,
     GAP_HIGH,
     GAP_LOW,
     LabeledSet,
     Split,
+    csv_chunks,
+    csv_rows,
     dataset_csv,
     generate,
 )
@@ -223,6 +232,92 @@ def test_csv_round_trip_arbitrary_floats(tmp_path_factory, pairs) -> None:
     assert back_xs.tobytes() == xs.tobytes()
     assert back_ys.tobytes() == ys.tobytes()
 
+
+
+# ------------------------------------------------- CSV text on every core
+
+@functools.cache
+def csv_case(rows: int) -> tuple[tuple[np.ndarray, ...], str]:
+    """Three columns of `rows` rows (float, int, float) and their text as one in-process block."""
+    rng = np.random.default_rng(rows)
+    columns = (rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+               np.arange(rows) - rows // 2, rng.random(rows))
+    return columns, "a,b,c\n" + csv_rows(*columns)
+
+
+class StartCountingPool(ProcessPoolExecutor):
+    """A process pool counting how often one is started."""
+
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+
+ROWS_AT_POOL_MIN = POOL_MIN_CELLS // 3  # three columns
+
+
+@pytest.mark.parametrize("rows", [ROWS_AT_POOL_MIN - CSV_BLOCK_ROWS, ROWS_AT_POOL_MIN,
+                                  ROWS_AT_POOL_MIN + 1], ids=["block-below", "at", "row-past"])
+@pytest.mark.parametrize("ncores", [1, 2])
+def test_csv_text_is_the_same_on_one_core_and_on_two(monkeypatch, ncores, rows) -> None:
+    monkeypatch.setattr(cores, "_available_cores", lambda: ncores)
+    monkeypatch.setattr(cores, "ProcessPoolExecutor", StartCountingPool)
+    monkeypatch.setattr(StartCountingPool, "started", 0)
+    columns, text = csv_case(rows)
+    chunks = list(csv_chunks("a,b,c", *columns))
+    assert "".join(chunks) == text
+    assert len(chunks) == 1 + -(-rows // CSV_BLOCK_ROWS)
+    assert StartCountingPool.started == (ncores == 2 and 3 * rows >= POOL_MIN_CELLS)
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_a_pooled_csv_after_one_chunk_ends_its_workers(monkeypatch) -> None:
+    monkeypatch.setattr(cores, "_available_cores", lambda: 2)
+    columns, text = csv_case(ROWS_AT_POOL_MIN)
+    chunks = csv_chunks("a,b,c", *columns)
+    assert next(chunks) == "a,b,c\n"
+    assert text.startswith("a,b,c\n" + next(chunks))
+    assert len(multiprocessing.active_children()) == 2
+    chunks.close()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("rows", [ROWS_AT_POOL_MIN + 1, 2 * ROWS_AT_POOL_MIN])
+def test_pooled_csv_holds_the_window_not_the_text(monkeypatch, rows) -> None:
+    # While a pooled CSV streams, this process holds the window's 2 x workers
+    # chunks of text, the chunk in hand and the bytes of one more as they
+    # arrive, plus one block's columns pickled for a worker, at any size.
+    monkeypatch.setattr(cores, "_available_cores", lambda: 2)
+    rng = np.random.default_rng(rows)
+    columns = [rng.random(rows) for _ in range(3)]
+    list(csv_chunks("a,b,c", *(c[:8] for c in columns)))  # one-time set-up runs untraced
+    longest = 0
+    tracemalloc.start()
+    try:
+        for chunk in csv_chunks("a,b,c", *columns):
+            longest = max(longest, len(chunk))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * 2 + 2) * longest + 3 * 8 * CSV_BLOCK_ROWS + 64 * 1024, (peak, longest)
+
+
+@pytest.mark.parametrize("command, n", [("sparsify", ROWS_AT_POOL_MIN + 1),
+                                        ("generate", POOL_MIN_CELLS // 2 + 1)])
+def test_pooled_artifacts_are_the_same_on_one_core_and_on_two(tmp_path, monkeypatch, command,
+                                                             n) -> None:
+    written = []
+    for ncores in (1, 2):
+        monkeypatch.setattr(cores, "_available_cores", lambda: ncores)
+        (tmp_path / str(ncores)).mkdir()
+        monkeypatch.chdir(tmp_path / str(ncores))  # the manifests record a relative --out
+        assert run([command, "--dataset", "multimodal", "--n", str(n), "--out", "a.csv"]) == 0
+        written.append({p.name: p.read_bytes() for p in Path().iterdir()})
+    assert sorted(written[0]) == ["a.csv", "a.csv.manifest.json"]
+    assert written[0] == written[1]
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------- reference: the formulas as first written

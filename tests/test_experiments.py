@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import multiprocessing
 import os
 import struct
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
-from uqeval import experiments, predictors
+from uqeval import cores, experiments, predictors
 from uqeval.distributions import Gaussian, GaussianMixture
 from uqeval.metrics import (
     CURVE_BLOCK_ROWS,
@@ -113,7 +114,7 @@ def test_stability_memory_is_records_permutation_and_one_subset(monkeypatch, kin
 def test_in_process_bias_memory_does_not_grow_with_replicates(monkeypatch) -> None:
     # Each replicate's test sets and records are freed once scored; what is
     # kept is two MetricReports per replicate.
-    monkeypatch.setattr(predictors, "_available_cores", lambda: 1)
+    monkeypatch.setattr(cores, "_available_cores", lambda: 1)
     sizes = (8, 2**14)
     bias_experiment(ORACLE_HET, replicates=1, sizes=sizes)  # one-time set-up runs untraced
     peaks = []
@@ -213,11 +214,11 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 @pytest.mark.parametrize("case", sorted(BIAS_CASES))
-@pytest.mark.parametrize("cores", [1, 3])
-def test_pooled_bias_is_bit_identical_to_in_process(monkeypatch, cores, case) -> None:
+@pytest.mark.parametrize("ncores", [1, 3])
+def test_pooled_bias_is_bit_identical_to_in_process(monkeypatch, ncores, case) -> None:
     predictor, replicates, sizes, eval_config = BIAS_CASES[case]()
-    # cores=3 forces the worker pool even on a one-core machine
-    monkeypatch.setattr(predictors, "_available_cores", lambda: cores)
+    # ncores=3 forces the worker pool even on a one-core machine
+    monkeypatch.setattr(cores, "_available_cores", lambda: ncores)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.setenv("OMP_NUM_THREADS", "7")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -230,23 +231,43 @@ def test_pooled_bias_is_bit_identical_to_in_process(monkeypatch, cores, case) ->
     assert result.to_csv(mean_prefix=True) == expected.to_csv(mean_prefix=True)
 
 
-@pytest.mark.parametrize("cores, replicates", [(4, 1), (1, 3)])
-def test_bias_without_a_second_task_or_core_stays_in_process(monkeypatch, cores, replicates) -> None:
+@pytest.mark.parametrize("ncores, replicates", [(4, 1), (1, 3)])
+def test_bias_without_a_second_task_or_core_stays_in_process(monkeypatch, ncores, replicates) -> None:
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(predictors, "_available_cores", lambda: cores)
-    monkeypatch.setattr(predictors, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cores, "_available_cores", lambda: ncores)
+    monkeypatch.setattr(cores, "ProcessPoolExecutor", no_pool)
     result = bias_experiment(ORACLE_HET, base_seed=2, replicates=replicates, sizes=(8, 16))
     assert result == serial_bias_experiment(
         ORACLE_HET, DatasetKind.HETEROSCEDASTIC, 2, replicates, None, (8, 16))
 
 
 def test_pooled_bias_warns_in_the_caller(monkeypatch) -> None:
-    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
+    monkeypatch.setattr(cores, "_available_cores", lambda: 2)
     with pytest.warns(RuntimeWarning, match="spearman undefined"):
         result = bias_experiment(ORACLE_HOMO, DatasetKind.HOMOSCEDASTIC, replicates=2, sizes=(8, 16))
     assert all(math.isnan(report.spearman) for report in result.reports)
+
+
+class FailingAtSizePredictor:
+    """The heteroscedastic oracle, except that it raises on a test set of `size` rows."""
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def predict(self, x):
+        if len(x) == self.size:
+            raise ValueError(f"no prediction for {self.size} rows")
+        return ORACLE_HET.predict(x)
+
+
+def test_a_failing_pooled_bias_replicate_raises_and_leaves_no_workers(monkeypatch) -> None:
+    # every replicate fails at its second size, with six replicates in a window of four
+    monkeypatch.setattr(cores, "_available_cores", lambda: 2)
+    with pytest.raises(ValueError, match="no prediction for 16 rows"):
+        bias_experiment(FailingAtSizePredictor(16), replicates=6, sizes=(8, 16))
+    assert multiprocessing.active_children() == []
 
 
 def _bias_replicate_then_report_scipy(rep: int) -> bool:
@@ -257,8 +278,8 @@ def _bias_replicate_then_report_scipy(rep: int) -> bool:
 
 
 def test_bias_workers_never_import_scipy(monkeypatch) -> None:
-    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
-    assert predictors.map_on_cores(_bias_replicate_then_report_scipy, [0, 1]) == [False, False]
+    monkeypatch.setattr(cores, "_available_cores", lambda: 2)
+    assert list(cores.map_on_cores(_bias_replicate_then_report_scipy, [0, 1])) == [False, False]
 
 
 def test_sparsification_csv_layout() -> None:

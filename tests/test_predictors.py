@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import signal
@@ -7,7 +8,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import warnings
 from functools import partial
 from pathlib import Path
 
@@ -18,7 +18,8 @@ from uqeval.datasets import DatasetKind, DomainError, LabeledSet, Split, generat
 from uqeval.distributions import Gaussian, GaussianMixture, VARIANCE_FLOOR
 from uqeval.experiments import density_grid_csv
 from uqeval.metrics import nll
-from uqeval import network, predictors
+from uqeval import cores, network, predictors
+from uqeval.cores import map_on_cores
 from uqeval.network import forward
 from uqeval.predictors import (
     ENSEMBLE_FORMAT,
@@ -31,7 +32,6 @@ from uqeval.predictors import (
     _train_member,
     load_ensemble,
     make_records,
-    map_on_cores,
     save_ensemble,
     train_ensemble,
 )
@@ -289,10 +289,10 @@ def test_training_loss_decreases(kind) -> None:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("cores", [1, 3])
-def test_pooled_training_is_bit_identical_to_in_process(monkeypatch, cores) -> None:
-    # cores=3 forces the worker pool even on a one-core machine
-    monkeypatch.setattr(predictors, "_available_cores", lambda: cores)
+@pytest.mark.parametrize("ncores", [1, 3])
+def test_pooled_training_is_bit_identical_to_in_process(monkeypatch, ncores) -> None:
+    # ncores=3 forces the worker pool even on a one-core machine
+    monkeypatch.setattr(cores, "_available_cores", lambda: ncores)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.setenv("OMP_NUM_THREADS", "7")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -309,68 +309,15 @@ def test_pooled_training_is_bit_identical_to_in_process(monkeypatch, cores) -> N
         assert history == tuple(ref_history)
 
 
-@pytest.mark.parametrize("cores", [1, 3])
-def test_map_on_cores_returns_results_in_item_order(monkeypatch, cores) -> None:
-    monkeypatch.setattr(predictors, "_available_cores", lambda: cores)
-    items = [3.0, -1.5, 0.25, 7.0, 2.0]
-    assert map_on_cores(abs, items) == [abs(x) for x in items]
-    assert map_on_cores(abs, []) == []
-
-
-def test_map_on_cores_issues_worker_warnings_in_the_caller(monkeypatch) -> None:
-    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert map_on_cores(warnings.warn, ["first", "second", "third"]) == [None] * 3
-    assert [(str(w.message), w.category) for w in caught] == [
-        ("first", UserWarning), ("second", UserWarning), ("third", UserWarning)]
-    # the caller's filters apply to them
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(UserWarning, match="first"):
-            map_on_cores(warnings.warn, ["first", "second"])
-
-
-def test_map_on_cores_calls_run_under_the_callers_numpy_error_state(monkeypatch) -> None:
-    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
-    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
-        assert map_on_cores(np.exp, [1000.0, 0.0]) == [np.inf, 1.0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(over="ignore"):
-            assert map_on_cores(np.exp, [1000.0, 0.0]) == [np.inf, 1.0]
-
-
 def _train_then_report_scipy(train: LabeledSet, member: int) -> bool:
     _train_member(train, TrainConfig(epochs=2, batch_size=32), member)
     return "scipy" in sys.modules
 
 
 def test_training_workers_never_import_scipy(monkeypatch) -> None:
-    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
+    monkeypatch.setattr(cores, "_available_cores", lambda: 2)
     task = partial(_train_then_report_scipy, small_train_set())
-    assert map_on_cores(task, [0, 1]) == [False, False]
-
-
-class PickleCountingAbs:
-    """abs, counting in this process how often it is pickled."""
-
-    pickled = 0
-
-    def __call__(self, x):
-        return abs(x)
-
-    def __reduce__(self):
-        type(self).pickled += 1
-        return partial, (abs,)  # a worker rebuilds it without importing this module
-
-
-def test_map_on_cores_sends_fn_to_each_worker_once(monkeypatch) -> None:
-    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
-    monkeypatch.setattr(PickleCountingAbs, "pickled", 0)
-    items = [3.0, -1.5, 0.25, 7.0, -2.0, 5.0]
-    assert map_on_cores(PickleCountingAbs(), items) == [abs(x) for x in items]
-    assert 1 <= PickleCountingAbs.pickled <= 2
+    assert list(map_on_cores(task, [0, 1])) == [False, False]
 
 
 def test_training_diverged_error_survives_pickling() -> None:
@@ -382,7 +329,7 @@ def test_training_diverged_error_survives_pickling() -> None:
 
 @pytest.mark.parametrize("ensemble_size", [1, 2])
 def test_training_diverges_loudly_on_pathological_targets(monkeypatch, ensemble_size) -> None:
-    monkeypatch.setattr(predictors, "_available_cores", lambda: 2)
+    monkeypatch.setattr(cores, "_available_cores", lambda: 2)
     xs = np.linspace(0.0, 1.0, 64)
     ys = np.full(64, 1e200)  # finite but squares to overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -391,6 +338,7 @@ def test_training_diverges_loudly_on_pathological_targets(monkeypatch, ensemble_
     # every member diverges; the pool reports the lowest-numbered one, as in-process training does
     assert err.value.member == 0
     assert err.value.epoch == 0
+    assert multiprocessing.active_children() == []
 
 
 # A script that trains two members in two spawned workers, long enough to
@@ -399,7 +347,7 @@ def test_training_diverges_loudly_on_pathological_targets(monkeypatch, ensemble_
 POOLED_TRAINING = """
 import multiprocessing, os, signal, sys, threading, time
 import numpy as np
-from uqeval import predictors
+from uqeval import cores, predictors
 from uqeval.datasets import LabeledSet
 
 def workers():
@@ -414,7 +362,7 @@ def kill_one_worker():
     time.sleep(1.0)
     os.kill(pid, signal.SIGKILL)
 
-predictors._available_cores = lambda: 2
+cores._available_cores = lambda: 2
 watch = kill_one_worker if sys.argv[1] == "kill-worker" else workers
 threading.Thread(target=watch, daemon=True).start()
 xs = np.linspace(-1.0, 1.0, 4096)
