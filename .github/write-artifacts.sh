@@ -16,8 +16,9 @@
 # with each command that takes it, at 135169 rows too (two record blocks,
 # the second ending in a merged 4097-row chunk).  A sparsification curve
 # (262145 x 3 cells) and a dataset (393217 x 2) are one row past
-# POOL_MIN_CELLS (3 x 2^18 cells), so with more than one available core
-# their chunks of text are formatted in worker processes, and on one core
+# POOL_MIN_CELLS (3 x 2^18 cells), and a 513 x 512 density grid (787968
+# cells) one x value past it, so with more than one available core their
+# chunks of text are formatted in worker processes, and on one core
 # in-process; the workflow diffs a one-core run against the others.  A
 # second ensemble trains on 1024 rows, 8 batches per epoch, so its bytes
 # cover 800 optimizer steps per member.  The bias
@@ -37,7 +38,7 @@
 # an exact-zero PIT; inside a mixture PIT a cut term adds nothing that a
 # subnormal would not.
 # Commands run inside OUT_DIR with relative --out paths, so the manifests
-# of two runs compare too; OUT_DIR ends up with 118 files.  BLAS settings come from the caller's environment.
+# of two runs compare too; OUT_DIR ends up with 120 files.  BLAS settings come from the caller's environment.
 set -euo pipefail
 
 src=$(cd "$1" && pwd)
@@ -80,6 +81,7 @@ done
 uqeval density-grid --dataset multimodal --nx 300 --ny 200 --out density-grid-x-blocks.csv
 uqeval density-grid --dataset multimodal --nx 16389 --ny 2 --out density-grid-tall.csv
 uqeval density-grid --dataset multimodal --nx 3 --ny 16389 --out density-grid-wide.csv
+uqeval density-grid --dataset multimodal --nx 513 --ny 512 --out density-grid-pooled.csv
 uqeval eval --dataset multimodal --n 200003 --out eval-blocks.csv
 uqeval bias --replicates 3 --out bias.csv
 uqeval bias --replicates 1 --out bias-1.csv

@@ -176,11 +176,13 @@ def _predictor(args):
 
 
 def _check_out(path: str) -> None:
-    """Raises OSError naming `path` when no file can be made there, before a command's work."""
+    """Raises OSError naming the path when `path` or its manifest cannot be made, before a command's work."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, "--out is a directory", path)
     if not path or not os.path.isdir(os.path.dirname(path) or os.curdir):
         raise FileNotFoundError(errno.ENOENT, "--out names no file in an existing directory", path)
+    if os.path.isdir(f"{path}.manifest.json"):
+        raise IsADirectoryError(errno.EISDIR, "the manifest is a directory", f"{path}.manifest.json")
 
 
 def _replace_atomically(path: str, write) -> None:

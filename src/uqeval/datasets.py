@@ -19,6 +19,7 @@ normal noises.  Everything is a pure function of (kind, split, n, seed).
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -130,8 +131,8 @@ def generate(kind: DatasetKind, split: Split, n: int, seed: int) -> LabeledSet:
     return LabeledSet(xs, ys)
 
 
-def csv_rows(*columns) -> str:
-    """One CSV line per row of equal-length columns.
+def csv_rows(columns) -> str:
+    """One CSV line per cell of a tuple of same-shape columns, in C order.
 
     Each cell is the repr of the Python number `.tolist()` makes of it:
     float64 cells give the shortest exact float repr, integer cells plain
@@ -139,31 +140,29 @@ def csv_rows(*columns) -> str:
     `str.format`.
     """
     line = ",".join(["%r"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    rows = zip(*(np.ravel(c).tolist() for c in columns))
     return "".join([line % row for row in rows])
 
 
-def _block_text(columns) -> str:
-    return csv_rows(*columns)
-
-
 def csv_chunks(header: str, *columns) -> Iterator[str]:
-    """The header line, then the rows of `columns` in chunks of CSV_BLOCK_ROWS.
+    """The header line, then one row per cell of the same-shape `columns`, in C order.
 
-    A text of at least POOL_MIN_CELLS cells is formatted by `map_on_cores`,
-    one task per chunk, and a smaller one in this process, a chunk as it
-    is asked for.  A chunk's text depends only on its own rows, so the
-    bytes do not depend on the path or on the number of cores.  Closing
-    the iterator early ends any pool it started.
+    A chunk of text is whole slices along the first axis: about
+    CSV_BLOCK_ROWS rows, at least one slice, so a broadcast column is
+    copied a chunk at a time.  A text of at least POOL_MIN_CELLS cells is
+    formatted by `map_on_cores`, one task per chunk, and a smaller one in
+    this process, a chunk as it is asked for.  A chunk's text depends only
+    on its own rows, so the bytes do not depend on the path or on the
+    number of cores.  Closing the iterator early ends any pool it started.
     """
-    n = len(columns[0])
-    blocks = (tuple(c[lo : lo + CSV_BLOCK_ROWS] for c in columns)
-              for lo in range(0, n, CSV_BLOCK_ROWS))
+    shape = np.shape(columns[0])
+    step = max(1, CSV_BLOCK_ROWS // max(1, math.prod(shape[1:])))
+    blocks = (tuple(c[lo : lo + step] for c in columns) for lo in range(0, shape[0], step))
     yield header + "\n"
-    if n * len(columns) >= POOL_MIN_CELLS:
-        yield from map_on_cores(_block_text, blocks)
+    if math.prod(shape) * len(columns) >= POOL_MIN_CELLS:
+        yield from map_on_cores(csv_rows, blocks)
     else:
-        yield from map(_block_text, blocks)
+        yield from map(csv_rows, blocks)
 
 
 def dataset_csv(data: LabeledSet) -> Iterator[str]:

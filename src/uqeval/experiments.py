@@ -17,7 +17,6 @@ endings, no timestamps.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
@@ -26,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .cores import map_on_cores
-from .datasets import CSV_BLOCK_ROWS, DatasetKind, Split, csv_chunks, csv_rows, generate
+from .datasets import CSV_BLOCK_ROWS, DatasetKind, Split, csv_chunks, generate
 from .metrics import EvalConfig, MetricReport, evaluate, sparsification_curve
 from .predictors import make_records
 from .seeds import TAG_REPLICATE, TAG_SUBSET, derive_seed, make_rng
@@ -123,8 +122,9 @@ def density_grid_csv(
 ) -> Iterator[str]:
     """Rows iterate x in the outer loop and y in the inner loop.
 
-    Each chunk of text holds the rows of about CSV_BLOCK_ROWS // ny x values.
-    The predictor runs once over all x; its log densities are then filled
+    The text is `csv_chunks` of x and y as broadcast (nx, ny) views and of
+    z, so it is formatted on every core from POOL_MIN_CELLS cells (3 nx ny)
+    on.  The predictor runs once over all x; its log densities are then filled
     into one (nx, ny) array a block of about CSV_BLOCK_ROWS // nx y values
     at a time, at least one, so the temporaries stay the size of one chunk
     or of one y value over all x.  A log density that is not
@@ -143,14 +143,8 @@ def density_grid_csv(
     if not np.isfinite(z).all():
         i, j = np.argwhere(~np.isfinite(z))[0]
         raise ValueError(f"log density {z[i, j]} at x {x_values[i]}, y {y_values[j]}")
-    x_step = max(1, CSV_BLOCK_ROWS // max(1, ny))
-    blocks = (
-        csv_rows(np.repeat(x_values[i : i + x_step], ny),
-                 np.tile(y_values, len(x_values[i : i + x_step])),
-                 z[i : i + x_step].ravel())
-        for i in range(0, nx, x_step)
-    )
-    return itertools.chain(["x,y,z\n"], blocks)
+    return csv_chunks("x,y,z", np.broadcast_to(x_values[:, None], z.shape),
+                      np.broadcast_to(y_values, z.shape), z)
 
 
 # ----------------------------------------------------------------- run manifests

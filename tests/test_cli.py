@@ -221,13 +221,18 @@ def test_unwritable_out_fails_before_the_command_runs(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(uqeval.cli, "train_ensemble", no_training)
     missing = tmp_path / "missing" / "m.npz"
-    for out in (missing, tmp_path, ""):  # a missing directory, a directory, no name
+    manifest_dir = tmp_path / "m.npz.manifest.json"
+    manifest_dir.mkdir()
+    cases = [(missing, missing), (tmp_path, tmp_path), ("", ""),  # a missing directory, a
+             (tmp_path / "m.npz", manifest_dir)]  # directory, no name, a manifest directory
+    for out, named in cases:
         code = run(["train", "--dataset", "homoscedastic", "--n", "64", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(str(out)) in err
+        assert err.startswith("error: ") and repr(str(named)) in err
         assert ".tmp" not in err
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [manifest_dir]
+    assert list(manifest_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -462,11 +467,11 @@ def test_formatter_failure_mid_stream_leaves_no_files(tmp_path, monkeypatch, cap
     real_rows = uqeval.datasets.csv_rows
     blocks = []
 
-    def failing_rows(*columns):
+    def failing_rows(columns):
         blocks.append(len(columns[0]))
         if len(blocks) == 2:
             raise RuntimeError("formatter failed")
-        return real_rows(*columns)
+        return real_rows(columns)
 
     monkeypatch.setattr(uqeval.datasets, "csv_rows", failing_rows)
     out = tmp_path / "out.csv"
@@ -484,7 +489,7 @@ def test_failed_rerun_keeps_the_previous_artifact(tmp_path, monkeypatch) -> None
     assert run(argv) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-    def failing_rows(*columns):
+    def failing_rows(columns):
         raise RuntimeError("formatter failed")
 
     monkeypatch.setattr(uqeval.datasets, "csv_rows", failing_rows)
@@ -511,16 +516,19 @@ class _DiskFullAfterOneBlock:
             self.fh.write(line)
 
 
-@pytest.mark.parametrize("command, n", [("sparsify", POOL_MIN_CELLS // 3),
-                                        ("generate", POOL_MIN_CELLS // 2)])
+@pytest.mark.parametrize("argv", [
+    ["sparsify", "--dataset", "heteroscedastic", "--n", str(POOL_MIN_CELLS // 3)],
+    ["generate", "--dataset", "heteroscedastic", "--n", str(POOL_MIN_CELLS // 2)],
+    ["density-grid", "--dataset", "multimodal", "--nx", "513", "--ny", "512"],
+], ids=lambda argv: argv[0])
 def test_pooled_write_failure_leaves_no_files_and_no_workers(tmp_path, monkeypatch, capsys,
-                                                            command, n) -> None:
+                                                            argv) -> None:
     # the disk fills once the header and the first block of rows are written,
     # with the pool's window of later blocks in flight
     monkeypatch.setattr(cores, "_available_cores", lambda: 2)
     monkeypatch.setattr(uqeval.cli, "open", _DiskFullAfterOneBlock, raising=False)
     out = tmp_path / "out.csv"
-    code = run([command, "--dataset", "heteroscedastic", "--n", str(n), "--out", str(out)])
+    code = run(argv + ["--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert f"No space left on device: {str(out)!r}" in err

@@ -237,12 +237,20 @@ def test_csv_round_trip_arbitrary_floats(tmp_path_factory, pairs) -> None:
 # ------------------------------------------------- CSV text on every core
 
 @functools.cache
-def csv_case(rows: int) -> tuple[tuple[np.ndarray, ...], str]:
-    """Three columns of `rows` rows (float, int, float) and their text as one in-process block."""
-    rng = np.random.default_rng(rows)
-    columns = (rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
-               np.arange(rows) - rows // 2, rng.random(rows))
-    return columns, "a,b,c\n" + csv_rows(*columns)
+def csv_case(shape: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], str]:
+    """Three columns of one shape (float, int, float) and their text as one in-process block.
+
+    A 2-D case is laid out as `density_grid_csv` lays out a grid: the
+    first column is one value per leading-axis slice and the second one
+    value per column index, both broadcast views.
+    """
+    rng = np.random.default_rng(shape)
+    a = rng.standard_normal(shape[0]) * 10.0 ** rng.integers(-300, 300, shape[0])
+    b = np.arange(shape[-1]) - shape[-1] // 2
+    c = rng.random(shape)
+    if len(shape) == 2:
+        a, b = np.broadcast_to(a[:, None], shape), np.broadcast_to(b, shape)
+    return (a, b, c), "a,b,c\n" + csv_rows((a, b, c))
 
 
 class StartCountingPool(ProcessPoolExecutor):
@@ -256,26 +264,32 @@ class StartCountingPool(ProcessPoolExecutor):
 
 
 ROWS_AT_POOL_MIN = POOL_MIN_CELLS // 3  # three columns
+GRID_Y = 512  # a GRID_Y x GRID_Y grid of three columns is at POOL_MIN_CELLS
 
 
-@pytest.mark.parametrize("rows", [ROWS_AT_POOL_MIN - CSV_BLOCK_ROWS, ROWS_AT_POOL_MIN,
-                                  ROWS_AT_POOL_MIN + 1], ids=["block-below", "at", "row-past"])
+@pytest.mark.parametrize("shape", [(ROWS_AT_POOL_MIN - CSV_BLOCK_ROWS,), (ROWS_AT_POOL_MIN,),
+                                   (ROWS_AT_POOL_MIN + 1,), (GRID_Y - 1, GRID_Y),
+                                   (GRID_Y, GRID_Y), (GRID_Y + 1, GRID_Y)],
+                         ids=["block-below", "at", "row-past",
+                              "grid-slice-below", "grid-at", "grid-slice-past"])
 @pytest.mark.parametrize("ncores", [1, 2])
-def test_csv_text_is_the_same_on_one_core_and_on_two(monkeypatch, ncores, rows) -> None:
+def test_csv_text_is_the_same_on_one_core_and_on_two(monkeypatch, ncores, shape) -> None:
     monkeypatch.setattr(cores, "_available_cores", lambda: ncores)
     monkeypatch.setattr(cores, "ProcessPoolExecutor", StartCountingPool)
     monkeypatch.setattr(StartCountingPool, "started", 0)
-    columns, text = csv_case(rows)
+    columns, text = csv_case(shape)
     chunks = list(csv_chunks("a,b,c", *columns))
     assert "".join(chunks) == text
-    assert len(chunks) == 1 + -(-rows // CSV_BLOCK_ROWS)
-    assert StartCountingPool.started == (ncores == 2 and 3 * rows >= POOL_MIN_CELLS)
+    slices = max(1, CSV_BLOCK_ROWS // math.prod(shape[1:]))  # leading-axis slices per chunk
+    assert len(chunks) == 1 + -(-shape[0] // slices)
+    assert StartCountingPool.started == (ncores == 2 and 3 * math.prod(shape) >= POOL_MIN_CELLS)
     assert multiprocessing.active_children() == []
 
 
-def test_closing_a_pooled_csv_after_one_chunk_ends_its_workers(monkeypatch) -> None:
+@pytest.mark.parametrize("shape", [(ROWS_AT_POOL_MIN,), (GRID_Y, GRID_Y)], ids=["rows", "grid"])
+def test_closing_a_pooled_csv_after_one_chunk_ends_its_workers(monkeypatch, shape) -> None:
     monkeypatch.setattr(cores, "_available_cores", lambda: 2)
-    columns, text = csv_case(ROWS_AT_POOL_MIN)
+    columns, text = csv_case(shape)
     chunks = csv_chunks("a,b,c", *columns)
     assert next(chunks) == "a,b,c\n"
     assert text.startswith("a,b,c\n" + next(chunks))

@@ -391,15 +391,18 @@ def test_streamed_density_grid_csv_equals_string_built_text(name, nx, ny) -> Non
 
 
 @pytest.mark.parametrize("nx, ny", [(300, 200), (600, 500), (4 * CSV_BLOCK_ROWS, 2)])
-def test_density_grid_memory_is_the_grid_plus_one_chunk(nx, ny) -> None:
+@pytest.mark.parametrize("ncores", [1, 2])
+def test_density_grid_memory_is_the_grid_plus_one_chunk(monkeypatch, ncores, nx, ny) -> None:
     # Beyond z (8 bytes a cell) and its finiteness mask (1 byte a cell), a
     # grid holds the temporaries of one chunk: the log densities and the
-    # text of about CSV_BLOCK_ROWS cells.  A y block is at least one y value
+    # text of about CSV_BLOCK_ROWS cells, or on two cores, from (600, 500)
+    # on, the pool's window of chunks.  A y block is at least one y value
     # over all x, so a grid taller than 3 * CSV_BLOCK_ROWS is bounded by that
     # block instead: the prediction (two components' means and variances,
     # 4 float64 an x) and one y value's mixture log density (the two
     # component parts, their stack, log-sum-exp's shifted copy and maxima:
     # about 11 float64 an x), 120 bytes an x as measured, within 16 float64.
+    monkeypatch.setattr(cores, "_available_cores", lambda: ncores)
     predictor = TrueDistributionPredictor(DatasetKind.MULTIMODAL)
     xs, ys = np.linspace(0.0, 1.0, nx), np.linspace(-2.0, 2.0, ny)
     list(density_grid_csv(predictor, xs[:2], ys[:2]))  # one-time set-up runs untraced
