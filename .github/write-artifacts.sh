@@ -10,9 +10,12 @@
 # floors some removal counts below k), the 200003-row oracle layout (three
 # record blocks plus a remainder), the sparsification curve at exactly one
 # block of CURVE_BLOCK_ROWS (4096 rows) and at one block plus a row,
-# density grids filled in blocks of y values (four blocks of 54 at 300 x
-# values; one y value per block on a tall 16389 x 2 grid; a wide 3 x 16389
-# grid in three blocks of 5461 and a short fourth), and a trained ensemble
+# density grids, filled and formatted by the same slices of
+# CSV_BLOCK_ROWS // ny x values (at least one): 300 x 200 in three slices
+# of 81 x values and a short fourth of 57, a tall 16389 x 2 in two slices
+# of 8192 and a short third of 5, a taller 65539 x 3 (past 3 x 2^14 rows,
+# formatted in-process) in twelve slices of 5461 and a short last one of 7,
+# and a wide 3 x 16389 one x value a slice; and a trained ensemble
 # with each command that takes it, at 135169 rows too (two record blocks,
 # the second ending in a merged 4097-row chunk).  A sparsification curve
 # (262145 x 3 cells) and a dataset (393217 x 2) are one row past
@@ -38,7 +41,8 @@
 # an exact-zero PIT; inside a mixture PIT a cut term adds nothing that a
 # subnormal would not.
 # Commands run inside OUT_DIR with relative --out paths, so the manifests
-# of two runs compare too; OUT_DIR ends up with 120 files.  BLAS settings come from the caller's environment.
+# of two runs compare too; OUT_DIR ends up with 122 files.  BLAS settings
+# come from the caller's environment.
 set -euo pipefail
 
 src=$(cd "$1" && pwd)
@@ -80,6 +84,7 @@ for n in 4096 4097; do
 done
 uqeval density-grid --dataset multimodal --nx 300 --ny 200 --out density-grid-x-blocks.csv
 uqeval density-grid --dataset multimodal --nx 16389 --ny 2 --out density-grid-tall.csv
+uqeval density-grid --dataset multimodal --nx 65539 --ny 3 --out density-grid-taller.csv
 uqeval density-grid --dataset multimodal --nx 3 --ny 16389 --out density-grid-wide.csv
 uqeval density-grid --dataset multimodal --nx 513 --ny 512 --out density-grid-pooled.csv
 uqeval eval --dataset multimodal --n 200003 --out eval-blocks.csv

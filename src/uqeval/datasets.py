@@ -82,7 +82,7 @@ class LabeledSet:
         return len(self.xs)
 
 
-def _components(kind: DatasetKind, x) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def conditional_components(kind: DatasetKind, x) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The means of y's mixture components given x, and their common noise std.
 
     The one place each dataset's formulas are written: `generate` draws
@@ -122,7 +122,7 @@ def generate(kind: DatasetKind, split: Split, n: int, seed: int) -> LabeledSet:
             xs[gap] = rng.uniform(lo, hi, int(gap.sum()))
             gap = (xs >= GAP_LOW) & (xs <= GAP_HIGH)
 
-    means, std = _components(kind, xs)
+    means, std = conditional_components(kind, xs)
     if kind is DatasetKind.MULTIMODAL:
         # one fair draw per sample picks the mode: u < 0.5 keeps 0.5 + c
         np.copyto(means[0], means[1], where=rng.random(n) >= 0.5)

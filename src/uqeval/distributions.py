@@ -26,6 +26,7 @@ no longer depend on which scipy is installed.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,10 @@ class Gaussian:
     def cdf(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         return ndtr((y - self.mean) / np.sqrt(self.variance))
+
+    def take(self, rows) -> "Gaussian":
+        """The distributions of `rows` (a slice or an index array) of the first axis."""
+        return Gaussian(self.mean[rows], self.variance[rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +109,16 @@ class GaussianMixture:
 
     def cdf(self, y) -> np.ndarray:
         return sum(w * c.cdf(y) for w, c in zip(self.weights, self.components))
+
+    def take(self, rows) -> "GaussianMixture":
+        """The mixtures of `rows` (a slice or an index array) of every component's first axis.
+
+        The weights are kept as they are: normalizing them again could move
+        their last bits, and with them every density.
+        """
+        taken = copy.copy(self)
+        object.__setattr__(taken, "components", tuple(c.take(rows) for c in self.components))
+        return taken
 
 
 def moment_match(mixture: GaussianMixture) -> Gaussian:

@@ -124,25 +124,27 @@ def density_grid_csv(
 
     The text is `csv_chunks` of x and y as broadcast (nx, ny) views and of
     z, so it is formatted on every core from POOL_MIN_CELLS cells (3 nx ny)
-    on.  The predictor runs once over all x; its log densities are then filled
-    into one (nx, ny) array a block of about CSV_BLOCK_ROWS // nx y values
-    at a time, at least one, so the temporaries stay the size of one chunk
-    or of one y value over all x.  A log density that is not
-    finite somewhere on the grid (a non-finite grid value, or one so far
-    out that the density underflows to 0) raises ValueError naming the
-    first such point, before any text is made.
+    on.  The predictor runs once over all x.  Its log densities are filled
+    into one (nx, ny) array by the slices of x values `csv_chunks` cuts the
+    text into, about CSV_BLOCK_ROWS // ny x values and at least one, each
+    through the prediction's `take`, so every shape holds the grid and the
+    temporaries of one chunk.  A log density that is not finite somewhere
+    on the grid (a non-finite grid value, or one so far out that the
+    density underflows to 0) raises ValueError naming the first such point
+    in row order, before any text is made.
     """
     x_values = np.asarray(x_values, dtype=np.float64)
     y_values = np.asarray(y_values, dtype=np.float64)
     nx, ny = len(x_values), len(y_values)
     dist = predictor.predict(x_values)
     z = np.empty((nx, ny))  # z[i, j] at (x[i], y[j])
-    y_step = max(1, CSV_BLOCK_ROWS // max(1, nx))
-    for j in range(0, ny, y_step):
-        z[:, j : j + y_step] = dist.log_density(y_values[j : j + y_step, None]).T
-    if not np.isfinite(z).all():
-        i, j = np.argwhere(~np.isfinite(z))[0]
-        raise ValueError(f"log density {z[i, j]} at x {x_values[i]}, y {y_values[j]}")
+    step = max(1, CSV_BLOCK_ROWS // max(1, ny))
+    for lo in range(0, nx, step):
+        block = z[lo : lo + step]
+        block[:] = dist.take(slice(lo, lo + step)).log_density(y_values[:, None]).T
+        if not np.isfinite(block).all():
+            i, j = np.argwhere(~np.isfinite(block))[0]
+            raise ValueError(f"log density {block[i, j]} at x {x_values[lo + i]}, y {y_values[j]}")
     return csv_chunks("x,y,z", np.broadcast_to(x_values[:, None], z.shape),
                       np.broadcast_to(y_values, z.shape), z)
 

@@ -108,7 +108,7 @@ def row_blocks(n: int, rows: int) -> list[int]:
     return [i * rows for i in range(max(1, n // rows))] + [n]
 
 
-def _work_buffers(n: int) -> list[np.ndarray]:
+def work_buffers(n: int) -> list[np.ndarray]:
     """The two work buffers `forward` uses on n rows, as wide as its last (widest) chunk."""
     bounds = row_blocks(n, FORWARD_CHUNK_ROWS)
     return [np.empty((bounds[-1] - bounds[-2], LAYER_SIZES[1])) for _ in range(2)]
@@ -121,12 +121,12 @@ def forward(params: MlpParams, x: np.ndarray, bufs: list[np.ndarray] | None = No
     FORWARD_CHUNK_ROWS using two reused work buffers, so memory beyond the
     (N, 2) output stays constant in N; the result is bit-identical to one
     `_forward_hidden` pass over all rows.  Calls on the same rows may share
-    the buffers: pass `_work_buffers(x.size)` as `bufs`.
+    the buffers: pass `work_buffers(x.size)` as `bufs`.
     """
     x_rows = np.asarray(x, dtype=np.float64).reshape(-1, 1)
     bounds = row_blocks(len(x_rows), FORWARD_CHUNK_ROWS)
     if bufs is None:
-        bufs = _work_buffers(len(x_rows))
+        bufs = work_buffers(len(x_rows))
     out = np.empty((len(x_rows), LAYER_SIZES[-1]))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         *_, h = _hidden_layers(params, x_rows[lo:hi], bufs)

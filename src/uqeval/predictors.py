@@ -8,15 +8,17 @@ per-sample records the metrics consume.
 from __future__ import annotations
 
 import json
+import lzma
 import math
 import zipfile
+import zlib
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .cores import map_on_cores
-from .datasets import DatasetKind, LabeledSet, _components
+from .datasets import DatasetKind, LabeledSet, conditional_components
 from .distributions import Gaussian, GaussianMixture, moment_match
 from .metrics import EvaluationRecords
 from .network import (
@@ -28,12 +30,12 @@ from .network import (
     LEARNING_RATE,
     AdamState,
     MlpParams,
-    _work_buffers,
     adam_step,
     forward,
     init_params,
     loss_and_grads,
     row_blocks,
+    work_buffers,
 )
 from .seeds import TAG_MEMBER, derive_seed, make_rng
 
@@ -63,7 +65,7 @@ class TrueDistributionPredictor:
     kind: DatasetKind
 
     def predict(self, x):
-        means, std = _components(self.kind, x)
+        means, std = conditional_components(self.kind, x)
         var = std**2
         del std  # Gaussian's variance floor then runs beside the means and var alone
         if len(means) == 1:
@@ -126,7 +128,7 @@ class EnsemblePredictor:
         # threshold, so pairs allocated per member came from the heap, whose
         # freed pages a later live block can pin: `eval --predictor ensemble`
         # at 2^16 rows then peaked at ~92 MiB, not ~80.5, in some layouts.
-        bufs = _work_buffers(np.size(x))
+        bufs = work_buffers(np.size(x))
         comps = tuple(forward(params, x, bufs) for params in self.members)
         del bufs
         return moment_match(GaussianMixture(np.full(len(comps), 1.0 / len(comps)), comps))
@@ -228,13 +230,19 @@ def load_ensemble(path) -> EnsemblePredictor:
     `save_ensemble` does not write for the configured ensemble size, or a
     loss history that is not finite float64 of shape (ensemble_size,
     epochs) raises ValueError naming the file and the entry, before any
-    inference runs.
+    inference runs.  So does a file that zipfile cannot read: not a zip
+    archive, a zip version, compression method or flag it does not
+    support, an encrypted entry, an entry that does not decompress, an
+    undecodable entry name, or an entry offset it cannot seek to.  A file
+    that cannot be opened raises OSError.
     """
-    try:
-        with np.load(path) as archive:
-            return _ensemble_from_archive(archive, path)
-    except (zipfile.BadZipFile, EOFError) as exc:
-        raise ValueError(f"model file {path}: not a readable .npz archive ({exc})") from exc
+    with open(path, "rb") as fh:
+        try:
+            with np.lib.npyio.NpzFile(fh) as archive:
+                return _ensemble_from_archive(archive, path)
+        except (zipfile.BadZipFile, zlib.error, lzma.LZMAError, EOFError, OSError,
+                NotImplementedError, RuntimeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"model file {path}: not a readable .npz archive ({exc})") from exc
 
 
 _CONFIG_INTEGERS = ("ensemble_size", "epochs", "batch_size", "seed")

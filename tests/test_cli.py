@@ -1,11 +1,15 @@
 import errno
+import io
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -536,7 +540,19 @@ def test_pooled_write_failure_leaves_no_files_and_no_workers(tmp_path, monkeypat
     assert multiprocessing.active_children() == []
 
 
+@dataclass(frozen=True)
+class _ZipBytes:
+    """An edit of the saved archive's bytes, a bytearray, rather than of its arrays."""
+
+    edit: Callable[[bytearray], None]
+
+
 def _corrupt_model(src, dst, edit) -> None:
+    if isinstance(edit, _ZipBytes):
+        data = bytearray(src.read_bytes())
+        edit.edit(data)
+        dst.write_bytes(data)
+        return
     with np.load(src) as archive:
         arrays = {key: archive[key] for key in archive.files}
     edit(arrays)
@@ -570,9 +586,78 @@ def _edit_config(arrays, **changes) -> None:
     arrays["config_json"] = np.array(json.dumps(meta, sort_keys=True))
 
 
+def _central_entry(data: bytearray, name: str) -> int:
+    """Offset of `name`'s record in the zip central directory (the archive has no comment)."""
+    offset = struct.unpack_from("<I", data, len(data) - 6)[0]  # from the end-of-directory record
+    while True:
+        name_len, extra_len, comment_len = struct.unpack_from("<3H", data, offset + 28)
+        if data[offset + 46 : offset + 46 + name_len] == name.encode():
+            return offset
+        offset += 46 + name_len + extra_len + comment_len
+
+
+def _set_field(data: bytearray, offset: int, value: int | None = None, bits: int = 0) -> None:
+    """Sets the 2-byte field at `offset` to `value`, or ors `bits` into it."""
+    old = struct.unpack_from("<H", data, offset)[0]
+    struct.pack_into("<H", data, offset, (old if value is None else value) | bits)
+
+
+def _entry_field(name: str, at: int, value: int | None = None, bits: int = 0) -> _ZipBytes:
+    """An edit of the 2-byte field `at` bytes into `name`'s central directory record."""
+    return _ZipBytes(lambda data: _set_field(data, _central_entry(data, name) + at, value, bits))
+
+
+def _move_central_directory(data: bytearray) -> None:
+    # zipfile reads the directory where it ends, so every entry offset moves 1 MiB before the file
+    offset = struct.unpack_from("<I", data, len(data) - 6)[0]
+    struct.pack_into("<I", data, len(data) - 6, offset + 2**20)
+
+
+def _deflated_invalid_block(data: bytearray) -> None:
+    entry = _central_entry(data, "format.npy")
+    _set_field(data, entry + 10, 8)  # compression method: deflate
+    local = struct.unpack_from("<I", data, entry + 42)[0]
+    name_len, extra_len = struct.unpack_from("<2H", data, local + 26)
+    data[local + 30 + name_len + extra_len] = 0xFF  # a deflate block of the reserved type 3
+
+
+def _undecodable_name(data: bytearray) -> None:
+    entry = _central_entry(data, "format.npy")
+    _set_field(data, entry + 8, bits=0x800)  # flag bit 11: the name is UTF-8
+    data[entry + 46] = 0xD9
+
+
+def _npy_file(data: bytearray) -> None:
+    buffer = io.BytesIO()
+    np.save(buffer, np.zeros(3))
+    data[:] = buffer.getvalue()
+
+
+# Central directory record fields: version needed 6, flags 8, compression method 10
+ZIP_READ_ERRORS = {
+    "zip-version": (_entry_field("format.npy", 6, 255), "(zip file version 25.5)"),
+    "compression-method": (_entry_field("format.npy", 10, 99),
+                           "(That compression method is not supported)"),
+    "flag-bit-5": (_entry_field("format.npy", 8, bits=0x20),
+                   "(compressed patched data (flag bit 5))"),
+    "flag-bit-6": (_entry_field("format.npy", 8, bits=0x40), "(strong encryption (flag bit 6))"),
+    "encrypted": (_entry_field("member0_w2.npy", 8, bits=0x01),
+                  "(File 'member0_w2.npy' is encrypted, password required for extraction)"),
+    "entry-offset": (_ZipBytes(_move_central_directory), "([Errno 22] Invalid argument)"),
+    "deflate-error": (_ZipBytes(_deflated_invalid_block),
+                      "(Error -3 while decompressing data: invalid block type)"),
+    "lzma-error": (_entry_field("member0_w1.npy", 10, 14), "(Invalid or unsupported options)"),
+    "undecodable-name": (_ZipBytes(_undecodable_name), "('utf-8' codec can't decode byte 0xd9 "
+                         "in position 0: invalid continuation byte)"),
+    "npy-file": (_ZipBytes(_npy_file), "(File is not a zip file)"),
+}
+
+
 @pytest.mark.parametrize(
     "edit, problem",
     [
+        *[(edit, f"not a readable .npz archive {problem}")
+          for edit, problem in ZIP_READ_ERRORS.values()],
         (_nan_weight, "'member2_w3' has non-finite values"),
         (lambda arrays: arrays.pop("member4_b2"), "missing array 'member4_b2'"),
         (_wrong_shape, "'member0_w1' is float64 (256, 128), expected float64 (256, 256)"),
@@ -606,10 +691,10 @@ def _edit_config(arrays, **changes) -> None:
         *[(partial(_as_object, key=key), f"array {key!r} cannot be read")
           for key in ("format", "config_json", "history", "member0_w0")],
     ],
-    ids=["nan-weight", "missing-key", "wrong-shape", "bad-config", "zero-epochs", "no-eps",
-         "float-epochs", "string-epochs", "bool-epochs", "float-ensemble-size", "float-batch-size",
-         "bool-seed", "string-learning-rate", "bool-beta1", "nan-eps", "short-history",
-         "string-history", "nan-history", "extra-member", "skipped-member", "stray-key",
+    ids=[*ZIP_READ_ERRORS, "nan-weight", "missing-key", "wrong-shape", "bad-config",
+         "zero-epochs", "no-eps", "float-epochs", "string-epochs", "bool-epochs",
+         "float-ensemble-size", "float-batch-size", "bool-seed", "string-learning-rate",
+         "bool-beta1", "nan-eps", "short-history", "string-history", "nan-history", "extra-member", "skipped-member", "stray-key",
          "object-format", "object-config", "object-history", "object-weight"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, model_path, capsys, edit, problem) -> None:

@@ -12,7 +12,6 @@ import pytest
 
 from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
 from uqeval import cores, experiments, predictors
-from uqeval.distributions import Gaussian, GaussianMixture
 from uqeval.metrics import (
     CURVE_BLOCK_ROWS,
     EvalConfig,
@@ -336,20 +335,6 @@ def grid_text(x_values, y_values, z) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _slice_rows(dist, lo: int, hi: int):
-    """The distributions of rows lo..hi-1 of `dist`, from its sliced parameters."""
-    if isinstance(dist, GaussianMixture):
-        return GaussianMixture(dist.weights, tuple(_slice_rows(c, lo, hi) for c in dist.components))
-    return Gaussian(dist.mean[lo:hi], dist.variance[lo:hi])
-
-
-def x_blocked_log_densities(dist, nx: int, y_values) -> np.ndarray:
-    """Reference: the grid filled by blocks of CSV_BLOCK_ROWS // ny x values, each its own mixture."""
-    step = max(1, CSV_BLOCK_ROWS // len(y_values))
-    return np.concatenate([_slice_rows(dist, i, i + step).log_density(y_values[:, None]).T
-                           for i in range(0, nx, step)])
-
-
 def pointwise_log_densities(dist, nx: int, y_values) -> np.ndarray:
     """Reference: column j holds each x's distribution at y[j] alone, nothing broadcast."""
     return np.stack([dist.log_density(np.full(nx, y)) for y in y_values], axis=1)
@@ -376,32 +361,29 @@ GRID_PREDICTORS = {  # each predictor with the dataset whose domain its grid spa
 @pytest.mark.parametrize("name", sorted(GRID_PREDICTORS))
 def test_streamed_density_grid_csv_equals_string_built_text(name, nx, ny) -> None:
     # The predictor runs once over all x (an ensemble's bits depend on its
-    # chunk layout); z is then filled in y blocks, which must give the bits
-    # of one elementwise call per y value and of filling z in x blocks.
+    # chunk layout); z is then filled by x slices taken from that prediction,
+    # which must give the bits of one elementwise call per y value.
     kind, make_predictor = GRID_PREDICTORS[name]
     predictor = make_predictor()
     xs = np.linspace(*kind.domain, nx)
     ys = np.linspace(-2.0, 2.0, ny)
     chunks = list(density_grid_csv(predictor, xs, ys))
     assert all(c.count("\n") < 2 * CSV_BLOCK_ROWS for c in chunks)
-    dist = predictor.predict(xs)
-    pointwise = pointwise_log_densities(dist, nx, ys)
-    assert x_blocked_log_densities(dist, nx, ys).tobytes() == pointwise.tobytes()
+    pointwise = pointwise_log_densities(predictor.predict(xs), nx, ys)
     assert "".join(chunks) == grid_text(xs, ys, pointwise)
 
 
-@pytest.mark.parametrize("nx, ny", [(300, 200), (600, 500), (4 * CSV_BLOCK_ROWS, 2)])
+@pytest.mark.parametrize("nx, ny", [(300, 200), (600, 500), (4 * CSV_BLOCK_ROWS, 2),
+                                    (8 * CSV_BLOCK_ROWS, 2)])
 @pytest.mark.parametrize("ncores", [1, 2])
 def test_density_grid_memory_is_the_grid_plus_one_chunk(monkeypatch, ncores, nx, ny) -> None:
-    # Beyond z (8 bytes a cell) and its finiteness mask (1 byte a cell), a
-    # grid holds the temporaries of one chunk: the log densities and the
-    # text of about CSV_BLOCK_ROWS cells, or on two cores, from (600, 500)
-    # on, the pool's window of chunks.  A y block is at least one y value
-    # over all x, so a grid taller than 3 * CSV_BLOCK_ROWS is bounded by that
-    # block instead: the prediction (two components' means and variances,
-    # 4 float64 an x) and one y value's mixture log density (the two
-    # component parts, their stack, log-sum-exp's shifted copy and maxima:
-    # about 11 float64 an x), 120 bytes an x as measured, within 16 float64.
+    # Beyond z (8 bytes a cell), a grid holds the prediction over all x (two
+    # components' means and variances, 4 float64 an x; it is made before z)
+    # and the temporaries of one chunk: the log densities of one x slice and
+    # the text of about CSV_BLOCK_ROWS cells, or on two cores, from (600,
+    # 500) on, the pool's window of chunks.  The tall grids check that no
+    # temporary spans all x: one y value's mixture log density over all x
+    # (about 120 bytes an x) would exceed the bound.
     monkeypatch.setattr(cores, "_available_cores", lambda: ncores)
     predictor = TrueDistributionPredictor(DatasetKind.MULTIMODAL)
     xs, ys = np.linspace(0.0, 1.0, nx), np.linspace(-2.0, 2.0, ny)
@@ -413,7 +395,7 @@ def test_density_grid_memory_is_the_grid_plus_one_chunk(monkeypatch, ncores, nx,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * nx * ny + max(384 * CSV_BLOCK_ROWS, 128 * nx)
+    assert peak <= 8 * nx * ny + 32 * nx + 384 * CSV_BLOCK_ROWS
 
 
 # ----------------------------------------------------------------- manifests

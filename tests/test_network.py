@@ -15,13 +15,13 @@ from uqeval.network import (
     VARIANCE_SHIFT,
     _forward_hidden,
     _sigmoid,
-    _work_buffers,
     adam_step,
     forward,
     gaussian_nll_terms,
     init_params,
     loss_and_grads,
     variance_from_raw,
+    work_buffers,
 )
 from uqeval.seeds import make_rng
 
@@ -75,7 +75,7 @@ def test_chunked_forward_is_bit_identical_to_single_batch(seed) -> None:
     for n in (1, 2, 1953, 1954, C - 1, C, C + 1, 2 * C - 1, 2 * C, 3 * C + 7, 4 * C + 1):
         x = make_rng(seed + n).uniform(-1.0, 1.0, size=n)
         ref, _ = _forward_hidden(params, x)
-        bufs = _work_buffers(n)
+        bufs = work_buffers(n)
         forward(other, x, bufs)
         for dist in (forward(params, x), forward(params, x, bufs)):
             assert np.array_equal(dist.mean.view(np.uint64), ref[:, 0].view(np.uint64)), n

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import random
 import signal
 import subprocess
 import sys
@@ -252,14 +253,14 @@ def test_predictions_hold_one_value_per_input_row(name, n) -> None:
 
 def test_predict_shares_one_pair_of_work_buffers_across_members(monkeypatch) -> None:
     de = train_ensemble(small_train_set(), TrainConfig(ensemble_size=3, epochs=1, batch_size=64))
-    sizes, make = [], network._work_buffers
+    sizes, make = [], network.work_buffers
 
     def counting(n):
         sizes.append(n)
         return make(n)
 
-    monkeypatch.setattr(predictors, "_work_buffers", counting)
-    monkeypatch.setattr(network, "_work_buffers", counting)
+    monkeypatch.setattr(predictors, "work_buffers", counting)
+    monkeypatch.setattr(network, "work_buffers", counting)
     de.predict(np.linspace(-1, 1, 17))
     assert sizes == [17]
 
@@ -463,6 +464,47 @@ def test_load_rejects_unknown_format(tmp_path) -> None:
 def test_load_missing_file_raises(tmp_path) -> None:
     with pytest.raises(OSError):
         load_ensemble(tmp_path / "nope.npz")
+
+
+def mutated_archives(data: bytes, count: int, seed: int = 0):
+    """Seeded corruptions of a model file's bytes, one at a time.
+
+    Each sets 1-4 random bytes anywhere, truncates the file at a random
+    offset, or sets 1-3 of its last 400 bytes (the zip central directory).
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        mutated = bytearray(data)
+        kind = rng.random()
+        if kind < 0.4:
+            for _ in range(rng.randint(1, 4)):
+                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+        elif kind < 0.6:
+            del mutated[rng.randrange(len(mutated)):]
+        else:
+            for _ in range(rng.randint(1, 3)):
+                mutated[-1 - rng.randrange(400)] = rng.randrange(256)
+        yield mutated
+
+
+def test_a_mutated_model_file_loads_unchanged_or_raises_value_error_naming_it(tmp_path) -> None:
+    de = train_ensemble(small_train_set(), TrainConfig(ensemble_size=1, epochs=1, batch_size=64))
+    path = tmp_path / "model.npz"
+    save_ensemble(de, path)
+    data = path.read_bytes()
+    loaded = 0
+    for mutated in mutated_archives(data, 300):
+        path.write_bytes(mutated)
+        try:
+            back = load_ensemble(path)
+        except ValueError as exc:
+            assert f"model file {path}: " in str(exc)
+            continue
+        loaded += 1
+        assert back.config == de.config and back.history == de.history
+        for got, want in zip(back.members[0].arrays(), de.members[0].arrays()):
+            assert got.tobytes() == want.tobytes()
+    assert 0 < loaded < 100  # mostly in bytes zipfile does not read, such as timestamps
 
 
 # ----------------------------------------------------------------- density grid
