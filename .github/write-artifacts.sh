@@ -7,20 +7,21 @@
 # Every dataset kind and split, each oracle command, non-default scoring
 # conventions and the smallest threshold count (2), the smallest record
 # blocks (1, 2 and 49 rows; 49 is a size where the sparsification grid
-# floors some removal counts below k), the 200003-row oracle layout (three
-# record blocks plus a remainder), the sparsification curve at exactly one
-# block of CURVE_BLOCK_ROWS (4096 rows) and at one block plus a row,
+# floors some removal counts below k), the 200003-row oracle layout (48
+# record blocks of 4096 rows, the last merged to 7491), the
+# sparsification curve at exactly one block of CURVE_BLOCK_ROWS (4096
+# rows) and at one block plus a row,
 # density grids, filled and formatted by the same slices of
 # CSV_BLOCK_ROWS // ny x values (at least one): 300 x 200 in three slices
 # of 81 x values and a short fourth of 57, a tall 16389 x 2 in two slices
 # of 8192 and a short third of 5, a taller 65539 x 3 (past 3 x 2^14 rows,
 # formatted in-process) in twelve slices of 5461 and a short last one of 7,
 # and a wide 3 x 16389 one x value a slice; and a trained ensemble
-# with each command that takes it, at 135169 rows too (two record blocks,
-# the second ending in a merged 4097-row chunk).  A sparsification curve
-# (262145 x 3 cells) and a dataset (393217 x 2) are one row past
-# POOL_MIN_CELLS (3 x 2^18 cells), and a 513 x 512 density grid (787968
-# cells) one x value past it, so with more than one available core their
+# with each command that takes it, at 135169 rows too (33 record blocks,
+# the last a merged 4097-row one, which `forward` runs as one chunk).  A
+# sparsification curve (262145 x 3 cells) and a dataset (393217 x 2) are
+# one row past POOL_MIN_CELLS (3 x 2^18 cells), and a 513 x 512 density
+# grid (787968 cells) one x value past it, so with more than one available core their
 # chunks of text are formatted in worker processes, and on one core
 # in-process; the workflow diffs a one-core run against the others.  A
 # second ensemble trains on 1024 rows, 8 batches per epoch, so its bytes

@@ -16,7 +16,8 @@ MAXLOG.  The same coefficients evaluated by the same Horner steps give
 the same bits as scipy.  exp(-x^2) is libm's `math.exp`, element by
 element, as Cephes calls it: numpy's vectorised exp rounds differently
 on some arguments, which would move PITs and so calibration errors.
-The work runs in blocks of NDTR_BLOCK_ROWS into buffers allocated once.
+`ndtr` is one pass of whole-array expressions: `make_records` hands it one
+forward chunk of rows at a time, small enough to stay in cache.
 
 `logsumexp` reduces the components of a mixture with the steps of scipy
 1.17.1's `logsumexp` for nonnegative weights: the maximal terms are split
@@ -26,14 +27,12 @@ no longer depend on which scipy is installed.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 VARIANCE_FLOOR = 1e-12
-NDTR_BLOCK_ROWS = 8192
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
@@ -78,12 +77,11 @@ class GaussianMixture:
     components: tuple[Gaussian, ...]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)  # a copy, kept as given
         if w.ndim != 1 or len(w) != len(self.components) or len(w) == 0:
             raise ValueError("need one weight per component")
         if np.any(w < 0) or not np.isclose(w.sum(), 1.0):
             raise ValueError("weights must be nonnegative and sum to 1")
-        w = w / w.sum()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", tuple(self.components))
@@ -111,14 +109,8 @@ class GaussianMixture:
         return sum(w * c.cdf(y) for w, c in zip(self.weights, self.components))
 
     def take(self, rows) -> "GaussianMixture":
-        """The mixtures of `rows` (a slice or an index array) of every component's first axis.
-
-        The weights are kept as they are: normalizing them again could move
-        their last bits, and with them every density.
-        """
-        taken = copy.copy(self)
-        object.__setattr__(taken, "components", tuple(c.take(rows) for c in self.components))
-        return taken
+        """The mixtures of `rows` (a slice or an index array) of every component's first axis."""
+        return GaussianMixture(self.weights, tuple(c.take(rows) for c in self.components))
 
 
 def moment_match(mixture: GaussianMixture) -> Gaussian:
@@ -147,18 +139,12 @@ _U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987
       2.26290000613890934246e4, 4.92673942608635921086e4)
 
 
-def _horner(x, coefs, out=None, monic=False) -> np.ndarray:
-    """Cephes polevl (monic=False) or p1evl (True, implicit leading 1) into out."""
-    out = np.empty_like(x) if out is None else out
-    if monic:
-        np.add(x, coefs[0], out=out)
-    else:
-        np.multiply(x, coefs[0], out=out)
-        np.add(out, coefs[1], out=out)
-        coefs = coefs[1:]
-    for c in coefs[1:]:
-        np.multiply(out, x, out=out)
-        np.add(out, c, out=out)
+def _horner(x, coefs, monic=False) -> np.ndarray:
+    """Cephes polevl (monic=False) or p1evl (True, implicit leading 1)."""
+    out = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        out *= x
+        out += c
     return out
 
 
@@ -183,39 +169,24 @@ def ndtr(a) -> np.ndarray:
     A 0-d input gives a numpy scalar, as a numpy ufunc does.
     """
     a = np.asarray(a, dtype=np.float64)
-    out = np.empty(a.shape)
-    flat_a, flat_out = a.reshape(-1), out.reshape(-1)
-    rows = min(len(flat_a), NDTR_BLOCK_ROWS)
-    buffers = [np.empty(rows) for _ in range(5)] + [np.empty(rows, dtype=bool)]
-    for lo in range(0, len(flat_a), NDTR_BLOCK_ROWS):
-        y = flat_out[lo : lo + NDTR_BLOCK_ROWS]
-        x, z, square, erf, other, mask = (b[: len(y)] for b in buffers)
-        np.multiply(flat_a[lo : lo + len(y)], _SQRT1_2, out=x)
-        np.abs(x, out=z)
-        # erf(|x|) = |x| T(x^2) / U(x^2) below 1, taken at min(|x|, 1) so
-        # that a larger |x|, whose value is not used, cannot overflow
-        np.minimum(z, 1.0, out=y)
-        np.multiply(y, y, out=square)
-        _horner(square, _T, erf)
-        np.multiply(erf, y, out=erf)
-        np.divide(erf, _horner(square, _U, other, monic=True), out=erf)
-        # |x| >= 1/sqrt(2): 0.5 erfc(|x|), reflected to 1 - 0.5 erfc(|x|) for
-        # x > 0; erfc(|x|) is 1 - erf(|x|) below 1
-        np.subtract(1.0, erf, out=y)
-        np.greater_equal(z, 1.0, out=mask)
-        tail = np.flatnonzero(mask)
-        y[tail] = _erfc_tail(z[tail])
-        np.multiply(y, 0.5, out=y)
-        np.subtract(1.0, y, out=other)
-        np.greater(x, 0.0, out=mask)
-        np.putmask(y, mask, other)
-        # |x| < 1/sqrt(2): 0.5 + 0.5 erf(x), with erf odd
-        np.copysign(erf, x, out=erf)
-        np.multiply(erf, 0.5, out=erf)
-        np.add(erf, 0.5, out=erf)
-        np.less(z, _SQRT1_2, out=mask)
-        np.putmask(y, mask, erf)
-    return out[()] if out.ndim == 0 else out
+    x = a.reshape(-1) * _SQRT1_2
+    z = np.abs(x)
+    # erf(|x|) = |x| T(x^2) / U(x^2) below 1, taken at min(|x|, 1) so that
+    # a larger |x|, whose value is not used, cannot overflow
+    w = np.minimum(z, 1.0)
+    square = w * w
+    erf = _horner(square, _T) * w / _horner(square, _U, monic=True)
+    # |x| >= 1/sqrt(2): 0.5 erfc(|x|), reflected to 1 - 0.5 erfc(|x|) for
+    # x > 0; erfc(|x|) is 1 - erf(|x|) below 1
+    y = 1.0 - erf
+    tail = z >= 1.0
+    y[tail] = _erfc_tail(z[tail])
+    y *= 0.5
+    np.putmask(y, x > 0.0, 1.0 - y)
+    # |x| < 1/sqrt(2): 0.5 + 0.5 erf(x), with erf odd
+    np.putmask(y, z < _SQRT1_2, np.copysign(erf, x) * 0.5 + 0.5)
+    y = y.reshape(a.shape)
+    return y[()] if y.ndim == 0 else y
 
 
 def logsumexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:

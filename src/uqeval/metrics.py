@@ -210,13 +210,23 @@ class WeightMode(enum.Enum):
 
 
 def calibration_error(pits: np.ndarray, config: EvalConfig | None = None) -> float:
-    """Weighted squared deviation between nominal and observed coverage."""
+    """Weighted squared deviation between nominal and observed coverage.
+
+    `pits` must be a nonempty 1-D array of values in [0, 1] (no nan), the
+    rule `EvaluationRecords` applies to its PITs; anything else raises
+    ValueError.
+    """
     config = config or EvalConfig()
     pits = np.asarray(pits, dtype=np.float64)
+    if pits.ndim != 1:
+        raise ValueError("pits must be 1-D")
     if pits.size == 0:
         raise ValueError("empty pits")
+    ordered = np.sort(pits)
+    if not (ordered[0] >= 0.0 and ordered[-1] <= 1.0):  # nan sorts last
+        raise ValueError("pits must lie in [0, 1] and not be nan")
     levels = np.linspace(0.0, 1.0, config.thresholds)  # M nominal levels, built only here
-    observed = np.searchsorted(np.sort(pits), levels, side="right") / pits.size
+    observed = np.searchsorted(ordered, levels, side="right") / pits.size
     if config.weight_mode is WeightMode.PAPER:
         weights = observed / pits.size
     else:

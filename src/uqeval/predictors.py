@@ -40,7 +40,6 @@ from .network import (
 from .seeds import TAG_MEMBER, derive_seed, make_rng
 
 ENSEMBLE_FORMAT = "uqeval-ensemble-v1"
-RECORD_BLOCK_ROWS = 16 * FORWARD_CHUNK_ROWS  # rows scored at once by make_records
 
 
 class TrainingDivergedError(RuntimeError):
@@ -131,7 +130,8 @@ class EnsemblePredictor:
         bufs = work_buffers(np.size(x))
         comps = tuple(forward(params, x, bufs) for params in self.members)
         del bufs
-        return moment_match(GaussianMixture(np.full(len(comps), 1.0 / len(comps)), comps))
+        weights = np.full(len(comps), 1.0 / len(comps))
+        return moment_match(GaussianMixture(weights / weights.sum(), comps))
 
 
 def _train_member(train: LabeledSet, config: TrainConfig, member: int) -> tuple[MlpParams, list[float]]:
@@ -303,13 +303,15 @@ def _score(predictor, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
 def make_records(predictor, data: LabeledSet) -> EvaluationRecords:
     """Evaluate the predictor once per sample and bundle the results.
 
-    Rows are scored in blocks of RECORD_BLOCK_ROWS (see `row_blocks`), so
-    predictive temporaries, per-member network outputs included, stay
-    constant in N; each block is written into the record arrays.  The
-    block size is a multiple of the network's chunk size, so every field is
-    bit-identical to one pass over all rows.
+    Rows are scored one forward chunk at a time (`row_blocks` of
+    FORWARD_CHUNK_ROWS, so 4096 to 8191 rows, or all of them when fewer),
+    so predictive temporaries, per-member network outputs included, stay
+    constant in N and small enough for the cache; each block is written
+    into the record arrays.  `forward` runs each block as the one chunk it
+    would cut there in a pass over all rows, so every field is
+    bit-identical to one pass.
     """
-    bounds = row_blocks(len(data), RECORD_BLOCK_ROWS)
+    bounds = row_blocks(len(data), FORWARD_CHUNK_ROWS)
     fields = [np.empty(len(data)) for _ in range(4)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         for column, block in zip(fields, _score(predictor, data.xs[lo:hi], data.ys[lo:hi])):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
-from uqeval import cores, experiments, predictors
+from uqeval import cores, experiments
 from uqeval.metrics import (
     CURVE_BLOCK_ROWS,
     EvalConfig,
@@ -85,10 +85,10 @@ def test_stability_memory_is_records_permutation_and_one_subset(monkeypatch, kin
     # Scoring adds at most the bound that
     # test_metric_memory_is_four_arrays_plus_one_block holds each metric to.
     # Making the records holds the test set (2 * 8N), the records and one
-    # record block's temporaries (about 18 arrays of RECORD_BLOCK_ROWS for
-    # the multimodal oracle, the widest), which at N = 4 * RECORD_BLOCK_ROWS
-    # is less than scoring holds.
-    n = 4 * predictors.RECORD_BLOCK_ROWS
+    # record block's temporaries (about 18 arrays of at most
+    # 2 * FORWARD_CHUNK_ROWS - 1 rows for the multimodal oracle, the
+    # widest), which at N = 2^18 is less than scoring holds.
+    n = 2**18
     predictor = TrueDistributionPredictor(kind)
     convergence_experiment(predictor, kind, sizes=(16,))  # one-time set-up runs untraced
     entries, real = [], experiments.evaluate

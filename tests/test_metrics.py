@@ -382,6 +382,24 @@ def test_calibration_error_counts_pit_equal_to_threshold() -> None:
         calibration_error(np.array([]), cfg)
 
 
+def test_calibration_error_rejects_nan_pits() -> None:
+    for pits in ([np.nan, 0.5], [0.5, np.nan]):
+        with pytest.raises(ValueError, match=r"pits must lie in \[0, 1\] and not be nan"):
+            calibration_error(np.array(pits))
+
+
+def test_calibration_error_rejects_pits_outside_the_unit_interval() -> None:
+    for pits in ([1.5, -0.5], [0.5, 1.0 + 2**-52], [-5e-324, 0.5], [np.inf]):
+        with pytest.raises(ValueError, match=r"pits must lie in \[0, 1\]"):
+            calibration_error(np.array(pits))
+
+
+def test_calibration_error_rejects_pits_that_are_not_1d() -> None:
+    for pits in (np.array([[0.1, 0.2]]), np.array(0.5)):
+        with pytest.raises(ValueError, match="pits must be 1-D"):
+            calibration_error(pits)
+
+
 def test_calibration_error_hand_case() -> None:
     pits = np.array([0.1, 0.2, 0.9])
     # M = 3: levels 0, 0.5, 1 with observed coverage 0, 2/3, 1; only the

@@ -21,10 +21,9 @@ from uqeval.experiments import density_grid_csv
 from uqeval.metrics import nll
 from uqeval import cores, network, predictors
 from uqeval.cores import map_on_cores
-from uqeval.network import forward
+from uqeval.network import FORWARD_CHUNK_ROWS, forward, init_params
 from uqeval.predictors import (
     ENSEMBLE_FORMAT,
-    RECORD_BLOCK_ROWS,
     EnsemblePredictor,
     ScaledUncertaintyPredictor,
     TrainConfig,
@@ -103,7 +102,7 @@ def test_make_records_fields_match_formulas() -> None:
 
 
 RECORD_FIELDS = ("abs_errors", "uncertainties", "log_densities", "pits")
-B = RECORD_BLOCK_ROWS
+B = FORWARD_CHUNK_ROWS
 
 
 def single_pass_fields(predictor, data: LabeledSet) -> dict:
@@ -129,6 +128,23 @@ def assert_records_match_single_pass(predictor, data: LabeledSet) -> None:
 def test_blocked_records_are_bit_identical_to_single_pass(kind, n) -> None:
     data = generate(kind, Split.TEST, n, 11)
     assert_records_match_single_pass(TrueDistributionPredictor(kind), data)
+
+
+def test_make_records_passes_the_predictor_one_forward_chunk_at_a_time() -> None:
+    kind = DatasetKind.MULTIMODAL
+    oracle = TrueDistributionPredictor(kind)
+    seen = []
+
+    class Spy:
+        def predict(self, x):
+            seen.append(len(x))
+            return oracle.predict(x)
+
+    data = generate(kind, Split.TEST, 5 * B + 17, 0)
+    rec = make_records(Spy(), data)
+    assert max(seen) <= 2 * B - 1
+    assert seen == [B] * 4 + [B + 17]
+    assert rec.pits.tobytes() == make_records(oracle, data).pits.tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -228,6 +244,23 @@ def test_predict_is_moment_matched_member_mixture() -> None:
     var = (variances + means**2).mean(axis=0) - mean**2
     assert np.allclose(dist.mean, mean, rtol=1e-12)
     assert np.allclose(dist.variance, var, rtol=1e-12)
+
+
+def test_six_member_prediction_weights_members_by_normalized_sixths() -> None:
+    # np.full(6, 1/6) does not sum to 1 exactly; dividing it by its sum, as
+    # every ensemble has, moves the weights' last bits and so the moments'
+    rng = np.random.default_rng(0)
+    members = tuple(init_params(rng) for _ in range(6))
+    de = EnsemblePredictor(members, TrainConfig(ensemble_size=6, epochs=1), ((0.0,),) * 6)
+    x = np.linspace(-1, 1, 33)
+    comps = [forward(p, x) for p in members]
+    w = np.full(6, 1.0 / 6.0)
+    w = w / w.sum()
+    mean = sum(wi * c.mean for wi, c in zip(w, comps))
+    second = sum(wi * (c.variance + c.mean**2) for wi, c in zip(w, comps))
+    dist = de.predict(x)
+    assert dist.mean.tobytes() == mean.tobytes()
+    assert dist.variance.tobytes() == (second - mean**2).tobytes()
 
 
 PREDICTORS = {
