@@ -11,19 +11,26 @@
 # record blocks of 4096 rows, the last merged to 7491), the
 # sparsification curve at exactly one block of CURVE_BLOCK_ROWS (4096
 # rows) and at one block plus a row,
-# density grids, filled and formatted by the same slices of
-# CSV_BLOCK_ROWS // ny x values (at least one): 300 x 200 in three slices
-# of 81 x values and a short fourth of 57, a tall 16389 x 2 in two slices
-# of 8192 and a short third of 5, a taller 65539 x 3 (past 3 x 2^14 rows,
-# formatted in-process) in twelve slices of 5461 and a short last one of 7,
-# and a wide 3 x 16389 one x value a slice; and a trained ensemble
-# with each command that takes it, at 135169 rows too (33 record blocks,
-# the last a merged 4097-row one, which `forward` runs as one chunk).  A
-# sparsification curve (262145 x 3 cells) and a dataset (393217 x 2) are
-# one row past POOL_MIN_CELLS (3 x 2^18 cells), and a 513 x 512 density
-# grid (787968 cells) one x value past it, so with more than one available core their
-# chunks of text are formatted in worker processes, and on one core
-# in-process; the workflow diffs a one-core run against the others.  A
+# density grids, predicted by forward chunks of x values (4096 each, the
+# remainder merged into the last) in blocks of 4096 // rows y values, and
+# formatted in slices of CSV_BLOCK_ROWS // ny x values (at least one), a
+# row wider than 2^14 cells in pieces of 2^14: 300 x 200 in one chunk with
+# y blocks of 13 and text slices of 81 x values and a short fourth of 57, a
+# tall 16389 x 2 in chunks of 4096 and a merged 4101 and text slices of
+# 8192 and a short third of 5, a taller 65539 x 3 (past 3 x 2^14 rows,
+# formatted in-process) in a merged last chunk of 4099 and text slices of
+# 5461 and a short last one of 7, and a wide 3 x 16389 in y blocks of 1365
+# and each row's text in a piece of 16384 cells and one of 5; and a trained
+# ensemble with each command that takes it, at 135169 rows too (33 record
+# blocks, the last a merged 4097-row one, which `forward` runs as one
+# chunk), and on a 12289 x 3 grid (chunks of 4096, 4096 and 4097 x values).
+# A sparsification curve (262145 x 3 cells) and a dataset (393217 x 2) are
+# one row past POOL_MIN_CELLS (3 x 2^18 cells), a 513 x 512 density grid
+# (787968 cells) one x value past it and a wide 2 x 131073 one (786438
+# cells, each row in eight pieces of 2^14 and one of a single cell) one y
+# value past it, so with more than one available core their chunks of
+# text are formatted in worker processes, and on one core in-process; the
+# workflow diffs a one-core run against the others.  A
 # second ensemble trains on 1024 rows, 8 batches per epoch, so its bytes
 # cover 800 optimizer steps per member.  The bias
 # runs score their replicates in worker processes, except `--replicates 1`,
@@ -42,7 +49,7 @@
 # an exact-zero PIT; inside a mixture PIT a cut term adds nothing that a
 # subnormal would not.
 # Commands run inside OUT_DIR with relative --out paths, so the manifests
-# of two runs compare too; OUT_DIR ends up with 122 files.  BLAS settings
+# of two runs compare too; OUT_DIR ends up with 126 files.  BLAS settings
 # come from the caller's environment.
 set -euo pipefail
 
@@ -88,6 +95,7 @@ uqeval density-grid --dataset multimodal --nx 16389 --ny 2 --out density-grid-ta
 uqeval density-grid --dataset multimodal --nx 65539 --ny 3 --out density-grid-taller.csv
 uqeval density-grid --dataset multimodal --nx 3 --ny 16389 --out density-grid-wide.csv
 uqeval density-grid --dataset multimodal --nx 513 --ny 512 --out density-grid-pooled.csv
+uqeval density-grid --dataset multimodal --nx 2 --ny 131073 --out density-grid-wide-pooled.csv
 uqeval eval --dataset multimodal --n 200003 --out eval-blocks.csv
 uqeval bias --replicates 3 --out bias.csv
 uqeval bias --replicates 1 --out bias-1.csv
@@ -99,6 +107,7 @@ ensemble=(--dataset homoscedastic --predictor ensemble --model-path model.npz)
 uqeval sparsify "${ensemble[@]}" --n 4099 --out sparsify-ensemble.csv
 uqeval stability "${ensemble[@]}" --out stability-ensemble.csv
 uqeval density-grid "${ensemble[@]}" --nx 64 --ny 48 --out density-grid-ensemble.csv
+uqeval density-grid "${ensemble[@]}" --nx 12289 --ny 3 --out density-grid-ensemble-chunks.csv
 uqeval bias "${ensemble[@]}" --replicates 2 --out bias-ensemble.csv
 uqeval eval "${ensemble[@]}" --n 4099 --out eval-ensemble.csv
 uqeval eval "${ensemble[@]}" --n 135169 --out eval-ensemble-blocks.csv

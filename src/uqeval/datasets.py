@@ -147,17 +147,23 @@ def csv_rows(columns) -> str:
 def csv_chunks(header: str, *columns) -> Iterator[str]:
     """The header line, then one row per cell of the same-shape `columns`, in C order.
 
-    A chunk of text is whole slices along the first axis: about
-    CSV_BLOCK_ROWS rows, at least one slice, so a broadcast column is
-    copied a chunk at a time.  A text of at least POOL_MIN_CELLS cells is
-    formatted by `map_on_cores`, one task per chunk, and a smaller one in
-    this process, a chunk as it is asked for.  A chunk's text depends only
-    on its own rows, so the bytes do not depend on the path or on the
-    number of cores.  Closing the iterator early ends any pool it started.
+    A chunk of text is a view of whole slices along the first axis, about
+    CSV_BLOCK_ROWS rows and at least one slice, or of CSV_BLOCK_ROWS cells
+    of one row of a wider 2-D slice, so a broadcast column is copied a
+    chunk at a time.  A text of at least POOL_MIN_CELLS cells is formatted
+    by `map_on_cores`, one task per chunk, and a smaller one in this
+    process, a chunk as it is asked for.  A chunk's text depends only on
+    its own rows, so the bytes do not depend on the path or on the number
+    of cores.  Closing the iterator early ends any pool it started.
     """
     shape = np.shape(columns[0])
-    step = max(1, CSV_BLOCK_ROWS // max(1, math.prod(shape[1:])))
-    blocks = (tuple(c[lo : lo + step] for c in columns) for lo in range(0, shape[0], step))
+    width = math.prod(shape[1:])
+    if width > CSV_BLOCK_ROWS:
+        blocks = (tuple(c[i, lo : lo + CSV_BLOCK_ROWS] for c in columns)
+                  for i in range(shape[0]) for lo in range(0, shape[1], CSV_BLOCK_ROWS))
+    else:
+        step = max(1, CSV_BLOCK_ROWS // max(1, width))
+        blocks = (tuple(c[lo : lo + step] for c in columns) for lo in range(0, shape[0], step))
     yield header + "\n"
     if math.prod(shape) * len(columns) >= POOL_MIN_CELLS:
         yield from map_on_cores(csv_rows, blocks)

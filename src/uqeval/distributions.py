@@ -64,10 +64,6 @@ class Gaussian:
         y = np.asarray(y, dtype=np.float64)
         return ndtr((y - self.mean) / np.sqrt(self.variance))
 
-    def take(self, rows) -> "Gaussian":
-        """The distributions of `rows` (a slice or an index array) of the first axis."""
-        return Gaussian(self.mean[rows], self.variance[rows])
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
@@ -107,10 +103,6 @@ class GaussianMixture:
 
     def cdf(self, y) -> np.ndarray:
         return sum(w * c.cdf(y) for w, c in zip(self.weights, self.components))
-
-    def take(self, rows) -> "GaussianMixture":
-        """The mixtures of `rows` (a slice or an index array) of every component's first axis."""
-        return GaussianMixture(self.weights, tuple(c.take(rows) for c in self.components))
 
 
 def moment_match(mixture: GaussianMixture) -> Gaussian:

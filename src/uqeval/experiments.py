@@ -25,9 +25,10 @@ from functools import partial
 import numpy as np
 
 from .cores import map_on_cores
-from .datasets import CSV_BLOCK_ROWS, DatasetKind, Split, csv_chunks, generate
+from .datasets import DatasetKind, Split, csv_chunks, generate
 from .metrics import EvalConfig, MetricReport, evaluate, sparsification_curve
-from .predictors import make_records
+from .network import FORWARD_CHUNK_ROWS
+from .predictors import make_records, predict_chunks
 from .seeds import TAG_REPLICATE, TAG_SUBSET, derive_seed, make_rng
 
 SIZES = tuple(2**k for k in range(3, 17))
@@ -123,28 +124,25 @@ def density_grid_csv(
     """Rows iterate x in the outer loop and y in the inner loop.
 
     The text is `csv_chunks` of x and y as broadcast (nx, ny) views and of
-    z, so it is formatted on every core from POOL_MIN_CELLS cells (3 nx ny)
-    on.  The predictor runs once over all x.  Its log densities are filled
-    into one (nx, ny) array by the slices of x values `csv_chunks` cuts the
-    text into, about CSV_BLOCK_ROWS // ny x values and at least one, each
-    through the prediction's `take`, so every shape holds the grid and the
-    temporaries of one chunk.  A log density that is not finite somewhere
-    on the grid (a non-finite grid value, or one so far out that the
-    density underflows to 0) raises ValueError naming the first such point
-    in row order, before any text is made.
+    z.  z is filled one `predict_chunks` chunk of x values at a time, in
+    blocks of FORWARD_CHUNK_ROWS // rows y values (at least one), so no
+    call sees more than about one forward chunk of cells and every cell is
+    the same elementwise log density.  A log density that is not finite
+    somewhere (a non-finite grid value, or one so far out that the density
+    underflows to 0) raises ValueError naming the first such point in row
+    order, before any text is made.
     """
     x_values = np.asarray(x_values, dtype=np.float64)
     y_values = np.asarray(y_values, dtype=np.float64)
-    nx, ny = len(x_values), len(y_values)
-    dist = predictor.predict(x_values)
-    z = np.empty((nx, ny))  # z[i, j] at (x[i], y[j])
-    step = max(1, CSV_BLOCK_ROWS // max(1, ny))
-    for lo in range(0, nx, step):
-        block = z[lo : lo + step]
-        block[:] = dist.take(slice(lo, lo + step)).log_density(y_values[:, None]).T
-        if not np.isfinite(block).all():
+    z = np.empty((len(x_values), len(y_values)))  # z[i, j] at (x[i], y[j])
+    for rows, dist in predict_chunks(predictor, x_values):
+        block = z[rows]
+        step = max(1, FORWARD_CHUNK_ROWS // max(1, len(block)))
+        for lo in range(0, len(y_values), step):
+            block[:, lo : lo + step] = dist.log_density(y_values[lo : lo + step, None]).T
+        if block.size and not (np.isfinite(block.min()) and np.isfinite(block.max())):
             i, j = np.argwhere(~np.isfinite(block))[0]
-            raise ValueError(f"log density {block[i, j]} at x {x_values[lo + i]}, y {y_values[j]}")
+            raise ValueError(f"log density {block[i, j]} at x {x_values[rows][i]}, y {y_values[j]}")
     return csv_chunks("x,y,z", np.broadcast_to(x_values[:, None], z.shape),
                       np.broadcast_to(y_values, z.shape), z)
 

@@ -102,8 +102,8 @@ def row_blocks(n: int, rows: int) -> list[int]:
     chunks: OpenBLAS rounds small products (the 256->2 layer at up to 1953
     rows, a 1-row hidden layer) differently from large ones, so a short
     tail chunk would change output bits relative to one single-batch pass.
-    `make_records` scores by the same blocks, so each of its `forward`
-    calls runs one chunk of a pass over all rows.
+    `predictors.predict_chunks` predicts by the same blocks, so each of its
+    `forward` calls runs one chunk of a pass over all rows.
     """
     return [i * rows for i in range(max(1, n // rows))] + [n]
 

@@ -294,27 +294,30 @@ def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
 
 # ----------------------------------------------------------------- records
 
-def _score(predictor, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Record fields (abs error, variance, log density, PIT) of one row block."""
-    dist = predictor.predict(xs)
-    return np.abs(ys - dist.mean), dist.variance, dist.log_density(ys), dist.cdf(ys)
+def predict_chunks(predictor, xs: np.ndarray):
+    """Yields (rows, predictor.predict(xs[rows])) for each forward chunk of xs.
+
+    The chunks are the slices `forward` cuts in a pass over all rows
+    (`row_blocks` of FORWARD_CHUNK_ROWS), so an ensemble keeps the bits of
+    one pass while temporaries stay constant in len(xs).
+    """
+    bounds = row_blocks(len(xs), FORWARD_CHUNK_ROWS)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield slice(lo, hi), predictor.predict(xs[lo:hi])
 
 
 def make_records(predictor, data: LabeledSet) -> EvaluationRecords:
     """Evaluate the predictor once per sample and bundle the results.
 
-    Rows are scored one forward chunk at a time (`row_blocks` of
-    FORWARD_CHUNK_ROWS, so 4096 to 8191 rows, or all of them when fewer),
-    so predictive temporaries, per-member network outputs included, stay
-    constant in N and small enough for the cache; each block is written
-    into the record arrays.  `forward` runs each block as the one chunk it
-    would cut there in a pass over all rows, so every field is
-    bit-identical to one pass.
+    Rows are scored into the record arrays one `predict_chunks` chunk at
+    a time, so predictive temporaries, per-member network outputs
+    included, stay constant in N and small enough for the cache, and every
+    field is bit-identical to one pass.
     """
-    bounds = row_blocks(len(data), FORWARD_CHUNK_ROWS)
     fields = [np.empty(len(data)) for _ in range(4)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        for column, block in zip(fields, _score(predictor, data.xs[lo:hi], data.ys[lo:hi])):
-            column[lo:hi] = block
+    for rows, dist in predict_chunks(predictor, data.xs):
+        ys = data.ys[rows]
+        scored = np.abs(ys - dist.mean), dist.variance, dist.log_density(ys), dist.cdf(ys)
+        for column, block in zip(fields, scored):
+            column[rows] = block
     return EvaluationRecords(*fields)
-

@@ -269,9 +269,11 @@ GRID_Y = 512  # a GRID_Y x GRID_Y grid of three columns is at POOL_MIN_CELLS
 
 @pytest.mark.parametrize("shape", [(ROWS_AT_POOL_MIN - CSV_BLOCK_ROWS,), (ROWS_AT_POOL_MIN,),
                                    (ROWS_AT_POOL_MIN + 1,), (GRID_Y - 1, GRID_Y),
-                                   (GRID_Y, GRID_Y), (GRID_Y + 1, GRID_Y)],
+                                   (GRID_Y, GRID_Y), (GRID_Y + 1, GRID_Y),
+                                   (2, CSV_BLOCK_ROWS + 5), (2, POOL_MIN_CELLS // 6 + 1)],
                          ids=["block-below", "at", "row-past",
-                              "grid-slice-below", "grid-at", "grid-slice-past"])
+                              "grid-slice-below", "grid-at", "grid-slice-past",
+                              "wide", "wide-past"])
 @pytest.mark.parametrize("ncores", [1, 2])
 def test_csv_text_is_the_same_on_one_core_and_on_two(monkeypatch, ncores, shape) -> None:
     monkeypatch.setattr(cores, "_available_cores", lambda: ncores)
@@ -280,8 +282,11 @@ def test_csv_text_is_the_same_on_one_core_and_on_two(monkeypatch, ncores, shape)
     columns, text = csv_case(shape)
     chunks = list(csv_chunks("a,b,c", *columns))
     assert "".join(chunks) == text
-    slices = max(1, CSV_BLOCK_ROWS // math.prod(shape[1:]))  # leading-axis slices per chunk
-    assert len(chunks) == 1 + -(-shape[0] // slices)
+    if math.prod(shape[1:]) > CSV_BLOCK_ROWS:  # each wide slice is cut into pieces
+        assert len(chunks) == 1 + shape[0] * -(-shape[1] // CSV_BLOCK_ROWS)
+    else:
+        slices = max(1, CSV_BLOCK_ROWS // math.prod(shape[1:]))  # leading-axis slices per chunk
+        assert len(chunks) == 1 + -(-shape[0] // slices)
     assert StartCountingPool.started == (ncores == 2 and 3 * math.prod(shape) >= POOL_MIN_CELLS)
     assert multiprocessing.active_children() == []
 

@@ -339,64 +339,9 @@ def test_logsumexp_of_an_all_underflow_column_is_minus_inf(k) -> None:
     assert same_bits(column, np.float64(-np.inf))
 
 
-# ----------------------------------------------------------------- take
+# ----------------------------------------------------------------- mixture weights
 
-TAKE_ROWS = [slice(5, 20), slice(30, None), np.array([3, 0, 36, 3])]
-TAKE_IDS = ["slice", "open-slice", "index-array"]
 MIXTURE_WEIGHTS = (0.7, 0.2, 0.1)  # dividing these by their sum would move their last bits
-
-
-def take_params(n: int = 37, k: int = 3, seed: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """k components' means and variances over n rows, some variances under the floor."""
-    rng = np.random.default_rng(seed)
-    variances = rng.uniform(0.01, 2.0, (k, n))
-    variances[:, ::7] = 1e-15
-    return rng.normal(0.0, 1.5, (k, n)), variances
-
-
-def assert_taken_rows_match(full, taken, rebuilt, rows, n: int) -> None:
-    """Every moment, density and CDF of `taken` has the bits of `full`'s rows and of `rebuilt`."""
-    y = np.random.default_rng(9).normal(0.0, 2.0, n)
-    ys = np.linspace(-40.0, 40.0, 11)[:, None]  # the density grid's layout, with underflow
-    for name in ("mean", "variance"):
-        got = getattr(taken, name)
-        assert same_bits(got, getattr(full, name)[rows])
-        assert same_bits(got, getattr(rebuilt, name))
-    for name in ("log_density", "cdf"):
-        got = getattr(taken, name)(y[rows])
-        assert same_bits(got, getattr(full, name)(y)[rows])
-        assert same_bits(got, getattr(rebuilt, name)(y[rows]))
-    grid = taken.log_density(ys)
-    assert same_bits(grid, full.log_density(ys)[:, rows])
-    assert same_bits(grid, rebuilt.log_density(ys))
-
-
-@pytest.mark.parametrize("rows", TAKE_ROWS, ids=TAKE_IDS)
-def test_gaussian_take_is_the_full_distributions_rows(rows) -> None:
-    means, variances = take_params(k=1)
-    full = Gaussian(means[0], variances[0])
-    taken = full.take(rows)
-    assert isinstance(taken, Gaussian)
-    assert_taken_rows_match(full, taken, Gaussian(means[0][rows], variances[0][rows]), rows, 37)
-
-
-@pytest.mark.parametrize("rows", TAKE_ROWS, ids=TAKE_IDS)
-def test_mixture_take_is_the_full_distributions_rows(rows) -> None:
-    means, variances = take_params()
-    full = GaussianMixture(np.array(MIXTURE_WEIGHTS),
-                           tuple(Gaussian(m, v) for m, v in zip(means, variances)))
-    taken = full.take(rows)
-    assert isinstance(taken, GaussianMixture) and len(taken.components) == 3
-    assert same_bits(taken.weights, full.weights)
-    rebuilt = GaussianMixture(np.array(MIXTURE_WEIGHTS),
-                              tuple(Gaussian(m[rows], v[rows]) for m, v in zip(means, variances)))
-    assert_taken_rows_match(full, taken, rebuilt, rows, 37)
-
-
-def test_mixture_take_keeps_the_weights_bits() -> None:
-    full = GaussianMixture(np.array(MIXTURE_WEIGHTS), (Gaussian(np.zeros(4), np.ones(4)),) * 3)
-    assert same_bits(full.take(slice(1, 3)).weights, full.weights)
-    assert not full.take(slice(1, 3)).weights.flags.writeable
 
 
 def test_rebuilt_mixture_keeps_the_weights_bits() -> None:

@@ -12,6 +12,7 @@ import pytest
 
 from uqeval.datasets import CSV_BLOCK_ROWS, DatasetKind, Split, generate
 from uqeval import cores, experiments
+from uqeval.network import FORWARD_CHUNK_ROWS
 from uqeval.metrics import (
     CURVE_BLOCK_ROWS,
     EvalConfig,
@@ -337,7 +338,10 @@ def grid_text(x_values, y_values, z) -> str:
 
 def pointwise_log_densities(dist, nx: int, y_values) -> np.ndarray:
     """Reference: column j holds each x's distribution at y[j] alone, nothing broadcast."""
-    return np.stack([dist.log_density(np.full(nx, y)) for y in y_values], axis=1)
+    z = np.empty((nx, len(y_values)))
+    for j, y in enumerate(y_values):
+        z[:, j] = dist.log_density(np.full(nx, y))
+    return z
 
 
 def test_streamed_sparsification_csv_equals_string_built_text() -> None:
@@ -357,33 +361,47 @@ GRID_PREDICTORS = {  # each predictor with the dataset whose domain its grid spa
 
 
 @pytest.mark.parametrize("nx, ny", [(CSV_BLOCK_ROWS + 5, 3), (3, CSV_BLOCK_ROWS + 5),
-                                    (131, 257), (1, 1)])
+                                    (131, 257), (1, 1), (0, 3), (3, 0)])
 @pytest.mark.parametrize("name", sorted(GRID_PREDICTORS))
 def test_streamed_density_grid_csv_equals_string_built_text(name, nx, ny) -> None:
-    # The predictor runs once over all x (an ensemble's bits depend on its
-    # chunk layout); z is then filled by x slices taken from that prediction,
-    # which must give the bits of one elementwise call per y value.
+    # The predictor runs one forward chunk of x at a time (an ensemble's
+    # bits then are those of one pass over all x), and z is filled in blocks
+    # of y values, which must give the bits of one elementwise call per y
+    # value.  An empty grid gives the header alone.
     kind, make_predictor = GRID_PREDICTORS[name]
     predictor = make_predictor()
     xs = np.linspace(*kind.domain, nx)
     ys = np.linspace(-2.0, 2.0, ny)
     chunks = list(density_grid_csv(predictor, xs, ys))
-    assert all(c.count("\n") < 2 * CSV_BLOCK_ROWS for c in chunks)
+    assert all(c.count("\n") <= CSV_BLOCK_ROWS for c in chunks)
     pointwise = pointwise_log_densities(predictor.predict(xs), nx, ys)
     assert "".join(chunks) == grid_text(xs, ys, pointwise)
 
 
+def test_density_grid_names_its_first_non_finite_cell_in_row_order() -> None:
+    # Two x values fill z in blocks of FORWARD_CHUNK_ROWS // 2 y values.  At
+    # x = 1/3 the heteroscedastic variance is floored to 1e-12, so y = 1e150
+    # already underflows there, in the first y block; at x = 0 only y =
+    # 1e160, in the second y block, does.  The latter comes first in row order.
+    xs = np.array([0.0, 1 / 3])
+    ys = np.zeros(FORWARD_CHUNK_ROWS // 2 + 2)
+    ys[0], ys[-1] = 1e150, 1e160
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        density_grid_csv(ORACLE_HET, xs, ys)
+    assert str(err.value) == "log density -inf at x 0.0, y 1e+160"
+
+
 @pytest.mark.parametrize("nx, ny", [(300, 200), (600, 500), (4 * CSV_BLOCK_ROWS, 2),
-                                    (8 * CSV_BLOCK_ROWS, 2)])
+                                    (8 * CSV_BLOCK_ROWS, 2), (2, 8 * CSV_BLOCK_ROWS)])
 @pytest.mark.parametrize("ncores", [1, 2])
 def test_density_grid_memory_is_the_grid_plus_one_chunk(monkeypatch, ncores, nx, ny) -> None:
-    # Beyond z (8 bytes a cell), a grid holds the prediction over all x (two
-    # components' means and variances, 4 float64 an x; it is made before z)
-    # and the temporaries of one chunk: the log densities of one x slice and
+    # Beyond z (8 bytes a cell), a grid holds the temporaries of one chunk:
+    # the prediction and log densities of one forward chunk of cells and
     # the text of about CSV_BLOCK_ROWS cells, or on two cores, from (600,
     # 500) on, the pool's window of chunks.  The tall grids check that no
-    # temporary spans all x: one y value's mixture log density over all x
-    # (about 120 bytes an x) would exceed the bound.
+    # temporary spans all x: the prediction over all x, or one y value's
+    # mixture log density over all x (about 120 bytes an x), would exceed
+    # the bound.  The wide grid checks the same for all y of one x value.
     monkeypatch.setattr(cores, "_available_cores", lambda: ncores)
     predictor = TrueDistributionPredictor(DatasetKind.MULTIMODAL)
     xs, ys = np.linspace(0.0, 1.0, nx), np.linspace(-2.0, 2.0, ny)
@@ -395,7 +413,7 @@ def test_density_grid_memory_is_the_grid_plus_one_chunk(monkeypatch, ncores, nx,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * nx * ny + 32 * nx + 384 * CSV_BLOCK_ROWS
+    assert peak <= 8 * nx * ny + 384 * CSV_BLOCK_ROWS
 
 
 # ----------------------------------------------------------------- manifests

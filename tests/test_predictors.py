@@ -130,7 +130,14 @@ def test_blocked_records_are_bit_identical_to_single_pass(kind, n) -> None:
     assert_records_match_single_pass(TrueDistributionPredictor(kind), data)
 
 
-def test_make_records_passes_the_predictor_one_forward_chunk_at_a_time() -> None:
+SCORERS = {  # each scorer's output as bytes, given a predictor and a test set
+    "make_records": lambda p, data: make_records(p, data).pits.tobytes(),
+    "density_grid_csv": lambda p, data: "".join(density_grid_csv(p, data.xs, data.ys[:2])),
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(SCORERS))
+def test_make_records_passes_the_predictor_one_forward_chunk_at_a_time(scorer) -> None:
     kind = DatasetKind.MULTIMODAL
     oracle = TrueDistributionPredictor(kind)
     seen = []
@@ -141,10 +148,10 @@ def test_make_records_passes_the_predictor_one_forward_chunk_at_a_time() -> None
             return oracle.predict(x)
 
     data = generate(kind, Split.TEST, 5 * B + 17, 0)
-    rec = make_records(Spy(), data)
+    scored = SCORERS[scorer](Spy(), data)
     assert max(seen) <= 2 * B - 1
     assert seen == [B] * 4 + [B + 17]
-    assert rec.pits.tobytes() == make_records(oracle, data).pits.tobytes()
+    assert scored == SCORERS[scorer](oracle, data)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
