@@ -22,8 +22,11 @@
 # 5461 and a short last one of 7, and a wide 3 x 16389 in y blocks of 1365
 # and each row's text in a piece of 16384 cells and one of 5; and a trained
 # ensemble with each command that takes it, at 135169 rows too (33 record
-# blocks, the last a merged 4097-row one, which `forward` runs as one
-# chunk), and on a 12289 x 3 grid (chunks of 4096, 4096 and 4097 x values).
+# blocks, the last a merged 4097-row one, which `forward` runs as forward
+# blocks of 2048 and 2049 rows), at 6143 rows (one record block, which
+# `forward` runs as blocks of 2048 and 4095 rows, written at full precision
+# by `sparsify`), and on a 12289 x 3 grid (chunks of 4096, 4096 and 4097 x
+# values).
 # A sparsification curve (262145 x 3 cells) and a dataset (393217 x 2) are
 # one row past POOL_MIN_CELLS (3 x 2^18 cells), a 513 x 512 density grid
 # (787968 cells) one x value past it and a wide 2 x 131073 one (786438
@@ -49,7 +52,7 @@
 # an exact-zero PIT; inside a mixture PIT a cut term adds nothing that a
 # subnormal would not.
 # Commands run inside OUT_DIR with relative --out paths, so the manifests
-# of two runs compare too; OUT_DIR ends up with 126 files.  BLAS settings
+# of two runs compare too; OUT_DIR ends up with 128 files.  BLAS settings
 # come from the caller's environment.
 set -euo pipefail
 
@@ -105,6 +108,7 @@ uqeval stability --dataset homoscedastic --out stability-homoscedastic.csv
 uqeval train --dataset homoscedastic --n 128 --out model.npz
 ensemble=(--dataset homoscedastic --predictor ensemble --model-path model.npz)
 uqeval sparsify "${ensemble[@]}" --n 4099 --out sparsify-ensemble.csv
+uqeval sparsify "${ensemble[@]}" --n 6143 --out sparsify-ensemble-blocks.csv
 uqeval stability "${ensemble[@]}" --out stability-ensemble.csv
 uqeval density-grid "${ensemble[@]}" --nx 64 --ny 48 --out density-grid-ensemble.csv
 uqeval density-grid "${ensemble[@]}" --nx 12289 --ny 3 --out density-grid-ensemble-chunks.csv

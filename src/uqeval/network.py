@@ -26,7 +26,8 @@ from .distributions import Gaussian
 
 LAYER_SIZES = (1, 256, 256, 256, 256, 2)
 VARIANCE_SHIFT = 1e-6
-FORWARD_CHUNK_ROWS = 4096  # rows per inference chunk; see row_blocks
+FORWARD_CHUNK_ROWS = 4096  # rows per scoring chunk (predictors.predict_chunks)
+FORWARD_BLOCK_ROWS = 2048  # rows per forward block; see row_blocks
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -76,7 +77,10 @@ def _hidden_layers(params: MlpParams, h: np.ndarray, bufs: list[np.ndarray] | No
     yielded array is overwritten two layers later.
     """
     for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
-        h = np.matmul(h, w, out=None if bufs is None else bufs[i % 2][: len(h)])
+        out = None if bufs is None else bufs[i % 2][: len(h)]
+        # the 1-wide input layer is an outer product: one multiply per
+        # element gives the bits of a K=1 matmul, in less time
+        h = np.multiply(h, w, out=out) if i == 0 else np.matmul(h, w, out=out)
         h += b
         yield np.maximum(h, 0.0, out=h)
 
@@ -98,33 +102,39 @@ def row_blocks(n: int, rows: int) -> list[int]:
     """Block offsets 0, rows, 2*rows, ... with the remainder merged into the last block.
 
     Every block therefore has the whole input (n < 2*rows) or rows..2*rows-1
-    rows.  `forward` splits its input this way into FORWARD_CHUNK_ROWS
-    chunks: OpenBLAS rounds small products (the 256->2 layer at up to 1953
+    rows.  `forward` splits its input this way into FORWARD_BLOCK_ROWS
+    blocks.  OpenBLAS rounds small products (the 256->2 layer at up to 1953
     rows, a 1-row hidden layer) differently from large ones, so a short
-    tail chunk would change output bits relative to one single-batch pass.
-    `predictors.predict_chunks` predicts by the same blocks, so each of its
-    `forward` calls runs one chunk of a pass over all rows.
+    tail block would change output bits; any block of at least
+    FORWARD_BLOCK_ROWS rows, or the whole input, gives each row the bits of
+    one pass.  `predictors.predict_chunks` cuts scoring chunks of
+    FORWARD_CHUNK_ROWS the same way; each is the whole input or at least
+    FORWARD_BLOCK_ROWS rows, so its forward blocks keep those bits too.
     """
     return [i * rows for i in range(max(1, n // rows))] + [n]
 
 
 def work_buffers(n: int) -> list[np.ndarray]:
-    """The two work buffers `forward` uses on n rows, as wide as its last (widest) chunk."""
-    bounds = row_blocks(n, FORWARD_CHUNK_ROWS)
+    """The two work buffers `forward` uses on n rows, as wide as its last (widest) block.
+
+    Each holds at most 2 * FORWARD_BLOCK_ROWS - 1 rows of LAYER_SIZES[1]
+    float64, whatever n.
+    """
+    bounds = row_blocks(n, FORWARD_BLOCK_ROWS)
     return [np.empty((bounds[-1] - bounds[-2], LAYER_SIZES[1])) for _ in range(2)]
 
 
 def forward(params: MlpParams, x: np.ndarray, bufs: list[np.ndarray] | None = None) -> Gaussian:
     """Predictive distribution at the given inputs, one row per element of x.
 
-    Inference-only: rows run through the layer chain in fixed chunks of
-    FORWARD_CHUNK_ROWS using two reused work buffers, so memory beyond the
+    Inference-only: rows run through the layer chain in `row_blocks` of
+    FORWARD_BLOCK_ROWS using two reused work buffers, so memory beyond the
     (N, 2) output stays constant in N; the result is bit-identical to one
     `_forward_hidden` pass over all rows.  Calls on the same rows may share
     the buffers: pass `work_buffers(x.size)` as `bufs`.
     """
     x_rows = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    bounds = row_blocks(len(x_rows), FORWARD_CHUNK_ROWS)
+    bounds = row_blocks(len(x_rows), FORWARD_BLOCK_ROWS)
     if bufs is None:
         bufs = work_buffers(len(x_rows))
     out = np.empty((len(x_rows), LAYER_SIZES[-1]))

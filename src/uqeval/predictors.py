@@ -122,11 +122,12 @@ class EnsemblePredictor:
     history: tuple[tuple[float, ...], ...]  # mean training loss per member, per epoch
 
     def predict(self, x) -> Gaussian:
-        # One pair of work buffers serves every member and is freed before the
-        # moments are matched.  Freeing a first pair raises glibc's mmap
-        # threshold, so pairs allocated per member came from the heap, whose
-        # freed pages a later live block can pin: `eval --predictor ensemble`
-        # at 2^16 rows then peaked at ~92 MiB, not ~80.5, in some layouts.
+        # One pair of work buffers (8 MiB on a 4096-row scoring chunk) serves
+        # every member and is freed before the moments are matched.  Freeing a
+        # first pair raises glibc's mmap threshold, so pairs allocated per
+        # member came from the heap, whose freed pages a later live block can
+        # pin: with 4096-row forward blocks, `eval --predictor ensemble` at
+        # 2^16 rows then peaked at ~92 MiB, not ~80.5, in some layouts.
         bufs = work_buffers(np.size(x))
         comps = tuple(forward(params, x, bufs) for params in self.members)
         del bufs
@@ -295,11 +296,13 @@ def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
 # ----------------------------------------------------------------- records
 
 def predict_chunks(predictor, xs: np.ndarray):
-    """Yields (rows, predictor.predict(xs[rows])) for each forward chunk of xs.
+    """Yields (rows, predictor.predict(xs[rows])) for each scoring chunk of xs.
 
-    The chunks are the slices `forward` cuts in a pass over all rows
-    (`row_blocks` of FORWARD_CHUNK_ROWS), so an ensemble keeps the bits of
-    one pass while temporaries stay constant in len(xs).
+    The chunks are `row_blocks` of FORWARD_CHUNK_ROWS, two forward blocks
+    each: `forward` runs a chunk as blocks of FORWARD_BLOCK_ROWS to
+    2 * FORWARD_BLOCK_ROWS - 1 rows (or whole, when it is all of xs), so an
+    ensemble keeps the bits of one pass while temporaries stay constant in
+    len(xs).
     """
     bounds = row_blocks(len(xs), FORWARD_CHUNK_ROWS)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -312,12 +315,13 @@ def make_records(predictor, data: LabeledSet) -> EvaluationRecords:
     Rows are scored into the record arrays one `predict_chunks` chunk at
     a time, so predictive temporaries, per-member network outputs
     included, stay constant in N and small enough for the cache, and every
-    field is bit-identical to one pass.
+    field is bit-identical to one pass.  Absolute errors are computed in
+    their record slice; the other fields are copied in.
     """
-    fields = [np.empty(len(data)) for _ in range(4)]
+    abs_errors, *fields = [np.empty(len(data)) for _ in range(4)]
     for rows, dist in predict_chunks(predictor, data.xs):
         ys = data.ys[rows]
-        scored = np.abs(ys - dist.mean), dist.variance, dist.log_density(ys), dist.cdf(ys)
-        for column, block in zip(fields, scored):
+        np.abs(np.subtract(ys, dist.mean, out=abs_errors[rows]), out=abs_errors[rows])
+        for column, block in zip(fields, (dist.variance, dist.log_density(ys), dist.cdf(ys))):
             column[rows] = block
-    return EvaluationRecords(*fields)
+    return EvaluationRecords(abs_errors, *fields)

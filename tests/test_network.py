@@ -7,6 +7,7 @@ import pytest
 from uqeval import network
 from uqeval.distributions import Gaussian
 from uqeval.network import (
+    FORWARD_BLOCK_ROWS as F,
     FORWARD_CHUNK_ROWS as C,
     AdamState,
     LAYER_SIZES,
@@ -14,6 +15,7 @@ from uqeval.network import (
     MlpParams,
     VARIANCE_SHIFT,
     _forward_hidden,
+    _hidden_layers,
     _sigmoid,
     adam_step,
     forward,
@@ -65,14 +67,24 @@ def test_forward_returns_gaussian_with_shifted_variance() -> None:
     assert one.mean.tobytes() == out[:, 0].tobytes()
 
 
+def test_block_and_chunk_sizes() -> None:
+    # the smallest power of two above the 1953-row cut; a scoring chunk
+    # that is not the whole input runs as forward blocks of at least F rows
+    assert F == 2048 and 1953 < F <= C
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 def test_chunked_forward_is_bit_identical_to_single_batch(seed) -> None:
     # 1953/1954 straddle the OpenBLAS small-matrix cut of the 256->2 layer;
-    # the C-adjacent sizes and 4C+1 (a 1-row remainder, which would run as
-    # a matrix-vector product on its own) fail for a short-tail layout
-    # a call on shared work buffers, left dirty by another member, matches too
+    # the F-adjacent sizes and 4F+1 (a 1-row remainder, which would run as
+    # a matrix-vector product on its own) fail for a short-tail layout;
+    # 6143 runs as blocks of F and 2F-1 rows, and the C-adjacent sizes are
+    # scoring chunks.  A call on shared work buffers, left dirty by another
+    # member, matches too
     params, other = init_params(make_rng(seed)), init_params(make_rng(seed + 1))
-    for n in (1, 2, 1953, 1954, C - 1, C, C + 1, 2 * C - 1, 2 * C, 3 * C + 7, 4 * C + 1):
+    sizes = (1, 2, 1953, 1954, F - 1, F, F + 1, 2 * F - 1, 3 * F - 1, 4 * F - 1,
+             3 * F + 7, 4 * F + 1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 3 * C + 7, 4 * C + 1)
+    for n in sizes:
         x = make_rng(seed + n).uniform(-1.0, 1.0, size=n)
         ref, _ = _forward_hidden(params, x)
         bufs = work_buffers(n)
@@ -82,6 +94,32 @@ def test_chunked_forward_is_bit_identical_to_single_batch(seed) -> None:
             assert np.array_equal(
                 dist.variance.view(np.uint64), variance_from_raw(ref[:, 1]).view(np.uint64)
             ), n
+
+
+@pytest.mark.parametrize("n", [128, C])
+def test_input_layer_is_bit_identical_to_matmul(n) -> None:
+    # the 1-wide input layer runs as an elementwise product; the reference
+    # is the K=1 matmul, on a training batch and on a scoring chunk
+    params = init_params(make_rng(8))
+    x = make_rng(n).uniform(-1.0, 1.0, size=(n, 1))
+    x[:3, 0] = 0.0, -0.0, 1.0
+    ref = x @ params.weights[0]
+    ref += params.biases[0]
+    np.maximum(ref, 0.0, out=ref)
+    bufs = [np.full((n, LAYER_SIZES[1]), np.nan) for _ in range(2)]
+    for got in (next(_hidden_layers(params, x)), next(_hidden_layers(params, x, bufs))):
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_work_buffers_hold_under_two_forward_blocks() -> None:
+    big = work_buffers(2**16)
+    assert [b.shape for b in big] == [(F, LAYER_SIZES[1])] * 2
+    assert all(b.dtype == np.float64 for b in big)
+    # the widest block: the whole input below 2F rows, else F plus the remainder
+    for n, rows in ((1, 1), (F - 1, F - 1), (2 * F - 1, 2 * F - 1), (2 * F, F),
+                    (3 * F - 1, 2 * F - 1), (C + 1, F + 1), (2**20 + F - 1, 2 * F - 1)):
+        assert [b.shape for b in work_buffers(n)] == [(rows, LAYER_SIZES[1])] * 2, n
+    assert max(len(work_buffers(n)[0]) for n in range(1, 6 * F)) == 2 * F - 1
 
 
 def _forward_peak_bytes(params: MlpParams, n: int) -> int:
@@ -99,6 +137,9 @@ def test_forward_memory_is_bounded_in_rows() -> None:
     small = _forward_peak_bytes(params, C)
     big = _forward_peak_bytes(params, 32 * C)
     assert big < 32 * C * 256 * 8  # one full-size hidden activation
+    # two work buffers of F rows, plus 40 bytes a row for the (N, 2) output
+    # and the variance (32 bytes measured): 4096-row buffers do not fit
+    assert big < 2 * F * 256 * 8 + 40 * 32 * C
     # beyond the (N, 2) output and the variance, nothing grows with N
     assert big - small < 32 * (32 * C - C)
 
