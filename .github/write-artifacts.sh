@@ -5,10 +5,10 @@
 #   bash .github/write-artifacts.sh SRC_DIR OUT_DIR
 #
 # Every dataset kind and split, each oracle command, non-default scoring
-# conventions and the smallest threshold count (2), the smallest record
-# blocks (1, 2 and 49 rows; 49 is a size where the sparsification grid
-# floors some removal counts below k), the 200003-row oracle layout (48
-# record blocks of 4096 rows, the last merged to 7491), the
+# conventions and the smallest threshold count (2), the smallest scoring
+# chunks of `predict_chunks` (1, 2 and 49 rows; 49 is a size where the
+# sparsification grid floors some removal counts below k), the 200003-row
+# oracle layout (48 scoring chunks of 4096 rows, the last merged to 7491), the
 # sparsification curve at exactly one block of CURVE_BLOCK_ROWS (4096
 # rows) and at one block plus a row,
 # density grids, predicted by forward chunks of x values (4096 each, the
@@ -21,12 +21,12 @@
 # formatted in-process) in a merged last chunk of 4099 and text slices of
 # 5461 and a short last one of 7, and a wide 3 x 16389 in y blocks of 1365
 # and each row's text in a piece of 16384 cells and one of 5; and a trained
-# ensemble with each command that takes it, at 135169 rows too (33 record
-# blocks, the last a merged 4097-row one, which `forward` runs as forward
-# blocks of 2048 and 2049 rows), at 6143 rows (one record block, which
+# ensemble with each command that takes it, at 135169 rows too (33 scoring
+# chunks, the last a merged 4097-row one, which `forward` runs as forward
+# blocks of 2048 and 2049 rows), at 6143 rows (one scoring chunk, which
 # `forward` runs as blocks of 2048 and 4095 rows, written at full precision
 # by `sparsify`), and on a 12289 x 3 grid (chunks of 4096, 4096 and 4097 x
-# values).
+# values); `forward` runs every member of a chunk on one pair of work buffers.
 # A sparsification curve (262145 x 3 cells) and a dataset (393217 x 2) are
 # one row past POOL_MIN_CELLS (3 x 2^18 cells), a 513 x 512 density grid
 # (787968 cells) one x value past it and a wide 2 x 131073 one (786438

@@ -18,6 +18,7 @@ differently from libm's on some inputs, which would change model bytes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +73,9 @@ def variance_from_raw(raw: np.ndarray) -> np.ndarray:
 def _hidden_layers(params: MlpParams, h: np.ndarray, bufs: list[np.ndarray] | None = None):
     """Yields each hidden post-activation of input rows `h` (B, 1).
 
-    Without `bufs` every activation is a fresh array; with two work buffers
-    of at least B rows the layers write into them alternately, so each
-    yielded array is overwritten two layers later.
+    Without `bufs` (training) every activation is a fresh array; `forward`
+    passes its two work buffers of at least B rows, which the layers write
+    into alternately, so each yielded array is overwritten two layers later.
     """
     for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         out = None if bufs is None else bufs[i % 2][: len(h)]
@@ -102,46 +103,42 @@ def row_blocks(n: int, rows: int) -> list[int]:
     """Block offsets 0, rows, 2*rows, ... with the remainder merged into the last block.
 
     Every block therefore has the whole input (n < 2*rows) or rows..2*rows-1
-    rows.  `forward` splits its input this way into FORWARD_BLOCK_ROWS
-    blocks.  OpenBLAS rounds small products (the 256->2 layer at up to 1953
-    rows, a 1-row hidden layer) differently from large ones, so a short
-    tail block would change output bits; any block of at least
-    FORWARD_BLOCK_ROWS rows, or the whole input, gives each row the bits of
-    one pass.  `predictors.predict_chunks` cuts scoring chunks of
-    FORWARD_CHUNK_ROWS the same way; each is the whole input or at least
+    rows, and the last is the widest.  `forward` splits its input this way
+    into FORWARD_BLOCK_ROWS blocks.  OpenBLAS rounds small products (the
+    256->2 layer at up to 1953 rows, a 1-row hidden layer) differently from
+    large ones, so a short tail block would change output bits; any block
+    of at least FORWARD_BLOCK_ROWS rows, or the whole input, gives each row
+    the bits of one pass.  `predictors.predict_chunks` cuts scoring chunks
+    of FORWARD_CHUNK_ROWS the same way; each is the whole input or at least
     FORWARD_BLOCK_ROWS rows, so its forward blocks keep those bits too.
     """
     return [i * rows for i in range(max(1, n // rows))] + [n]
 
 
-def work_buffers(n: int) -> list[np.ndarray]:
-    """The two work buffers `forward` uses on n rows, as wide as its last (widest) block.
+def forward(members: Sequence[MlpParams], x: np.ndarray) -> tuple[Gaussian, ...]:
+    """Each member's predictive distribution at the given inputs, one row per element of x.
 
-    Each holds at most 2 * FORWARD_BLOCK_ROWS - 1 rows of LAYER_SIZES[1]
-    float64, whatever n.
-    """
-    bounds = row_blocks(n, FORWARD_BLOCK_ROWS)
-    return [np.empty((bounds[-1] - bounds[-2], LAYER_SIZES[1])) for _ in range(2)]
-
-
-def forward(params: MlpParams, x: np.ndarray, bufs: list[np.ndarray] | None = None) -> Gaussian:
-    """Predictive distribution at the given inputs, one row per element of x.
+    `members` holds one or more parameter sets, run in order.
 
     Inference-only: rows run through the layer chain in `row_blocks` of
-    FORWARD_BLOCK_ROWS using two reused work buffers, so memory beyond the
-    (N, 2) output stays constant in N; the result is bit-identical to one
-    `_forward_hidden` pass over all rows.  Calls on the same rows may share
-    the buffers: pass `work_buffers(x.size)` as `bufs`.
+    FORWARD_BLOCK_ROWS, so memory beyond the (N, 2) outputs stays constant
+    in N, and each result is bit-identical to one `_forward_hidden` pass
+    over all rows.  One pair of work buffers, as wide as the last block
+    (at most 2 * FORWARD_BLOCK_ROWS - 1 rows of LAYER_SIZES[1] float64),
+    serves every member and every block, and is freed before the
+    Gaussians are built: a pair per member measured about 5x the minor
+    page faults and 4-8% more scoring time.
     """
     x_rows = np.asarray(x, dtype=np.float64).reshape(-1, 1)
     bounds = row_blocks(len(x_rows), FORWARD_BLOCK_ROWS)
-    if bufs is None:
-        bufs = work_buffers(len(x_rows))
-    out = np.empty((len(x_rows), LAYER_SIZES[-1]))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        *_, h = _hidden_layers(params, x_rows[lo:hi], bufs)
-        _output_layer(params, h, out=out[lo:hi])
-    return Gaussian(out[:, 0], variance_from_raw(out[:, 1]))
+    bufs = [np.empty((bounds[-1] - bounds[-2], LAYER_SIZES[1])) for _ in range(2)]
+    outs = [np.empty((len(x_rows), LAYER_SIZES[-1])) for _ in members]
+    for params, out in zip(members, outs):
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            *_, h = _hidden_layers(params, x_rows[lo:hi], bufs)
+            _output_layer(params, h, out=out[lo:hi])
+    del bufs, _, h  # the last activations are views of the buffers
+    return tuple(Gaussian(out[:, 0], variance_from_raw(out[:, 1])) for out in outs)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

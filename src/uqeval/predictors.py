@@ -35,7 +35,6 @@ from .network import (
     init_params,
     loss_and_grads,
     row_blocks,
-    work_buffers,
 )
 from .seeds import TAG_MEMBER, derive_seed, make_rng
 
@@ -115,22 +114,18 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class EnsemblePredictor:
-    """Uniformly weighted ensemble; predictions are moment-matched Gaussians."""
+    """Uniformly weighted ensemble; predictions are moment-matched Gaussians.
+
+    `predict` runs all members in one `forward` call, which owns the work
+    buffers they share.
+    """
 
     members: tuple[MlpParams, ...]
     config: TrainConfig
     history: tuple[tuple[float, ...], ...]  # mean training loss per member, per epoch
 
     def predict(self, x) -> Gaussian:
-        # One pair of work buffers (8 MiB on a 4096-row scoring chunk) serves
-        # every member and is freed before the moments are matched.  Freeing a
-        # first pair raises glibc's mmap threshold, so pairs allocated per
-        # member came from the heap, whose freed pages a later live block can
-        # pin: with 4096-row forward blocks, `eval --predictor ensemble` at
-        # 2^16 rows then peaked at ~92 MiB, not ~80.5, in some layouts.
-        bufs = work_buffers(np.size(x))
-        comps = tuple(forward(params, x, bufs) for params in self.members)
-        del bufs
+        comps = forward(self.members, x)
         weights = np.full(len(comps), 1.0 / len(comps))
         return moment_match(GaussianMixture(weights / weights.sum(), comps))
 
@@ -299,10 +294,10 @@ def predict_chunks(predictor, xs: np.ndarray):
     """Yields (rows, predictor.predict(xs[rows])) for each scoring chunk of xs.
 
     The chunks are `row_blocks` of FORWARD_CHUNK_ROWS, two forward blocks
-    each: `forward` runs a chunk as blocks of FORWARD_BLOCK_ROWS to
-    2 * FORWARD_BLOCK_ROWS - 1 rows (or whole, when it is all of xs), so an
-    ensemble keeps the bits of one pass while temporaries stay constant in
-    len(xs).
+    each: an ensemble's one `forward` call per chunk runs it as blocks of
+    FORWARD_BLOCK_ROWS to 2 * FORWARD_BLOCK_ROWS - 1 rows (or whole, when
+    it is all of xs), so every member keeps the bits of one pass while
+    temporaries, the shared work buffers included, stay constant in len(xs).
     """
     bounds = row_blocks(len(xs), FORWARD_CHUNK_ROWS)
     for lo, hi in zip(bounds[:-1], bounds[1:]):

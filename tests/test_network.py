@@ -23,7 +23,6 @@ from uqeval.network import (
     init_params,
     loss_and_grads,
     variance_from_raw,
-    work_buffers,
 )
 from uqeval.seeds import make_rng
 
@@ -57,11 +56,11 @@ def test_parameter_shape_validation() -> None:
 
 def test_forward_returns_gaussian_with_shifted_variance() -> None:
     params = init_params(make_rng(3))
-    dist = forward(params, np.linspace(-1, 1, 32))
+    (dist,) = forward((params,), np.linspace(-1, 1, 32))
     assert isinstance(dist, Gaussian)
     assert np.asarray(dist.mean).shape == (32,)
     assert np.all(np.asarray(dist.variance) > VARIANCE_SHIFT / 2)
-    one = forward(params, np.array([0.25]))
+    (one,) = forward([params], np.array([0.25]))
     assert one.mean.shape == one.variance.shape == (1,)
     out, _ = _forward_hidden(params, np.array([0.25]))
     assert one.mean.tobytes() == out[:, 0].tobytes()
@@ -79,17 +78,15 @@ def test_chunked_forward_is_bit_identical_to_single_batch(seed) -> None:
     # the F-adjacent sizes and 4F+1 (a 1-row remainder, which would run as
     # a matrix-vector product on its own) fail for a short-tail layout;
     # 6143 runs as blocks of F and 2F-1 rows, and the C-adjacent sizes are
-    # scoring chunks.  A call on shared work buffers, left dirty by another
-    # member, matches too
-    params, other = init_params(make_rng(seed)), init_params(make_rng(seed + 1))
+    # scoring chunks.  The second member runs on the work buffers the first
+    # left dirty, and matches too
+    members = init_params(make_rng(seed + 1)), init_params(make_rng(seed))
     sizes = (1, 2, 1953, 1954, F - 1, F, F + 1, 2 * F - 1, 3 * F - 1, 4 * F - 1,
              3 * F + 7, 4 * F + 1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 3 * C + 7, 4 * C + 1)
     for n in sizes:
         x = make_rng(seed + n).uniform(-1.0, 1.0, size=n)
-        ref, _ = _forward_hidden(params, x)
-        bufs = work_buffers(n)
-        forward(other, x, bufs)
-        for dist in (forward(params, x), forward(params, x, bufs)):
+        for params, dist in zip(members, forward(members, x)):
+            ref, _ = _forward_hidden(params, x)
             assert np.array_equal(dist.mean.view(np.uint64), ref[:, 0].view(np.uint64)), n
             assert np.array_equal(
                 dist.variance.view(np.uint64), variance_from_raw(ref[:, 1]).view(np.uint64)
@@ -111,37 +108,46 @@ def test_input_layer_is_bit_identical_to_matmul(n) -> None:
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
-def test_work_buffers_hold_under_two_forward_blocks() -> None:
-    big = work_buffers(2**16)
-    assert [b.shape for b in big] == [(F, LAYER_SIZES[1])] * 2
-    assert all(b.dtype == np.float64 for b in big)
-    # the widest block: the whole input below 2F rows, else F plus the remainder
-    for n, rows in ((1, 1), (F - 1, F - 1), (2 * F - 1, 2 * F - 1), (2 * F, F),
-                    (3 * F - 1, 2 * F - 1), (C + 1, F + 1), (2**20 + F - 1, 2 * F - 1)):
-        assert [b.shape for b in work_buffers(n)] == [(rows, LAYER_SIZES[1])] * 2, n
-    assert max(len(work_buffers(n)[0]) for n in range(1, 6 * F)) == 2 * F - 1
+@pytest.mark.parametrize("n, rows", [(3 * F - 1, 2 * F - 1), (2**16, F)])
+def test_forward_runs_every_member_and_block_on_one_pair_of_buffers(monkeypatch, n, rows) -> None:
+    # the pair is as wide as the last (widest) block, never more than
+    # 2F - 1 rows, and is allocated once per call, not per member or block
+    seen, hidden_layers = [], network._hidden_layers
+
+    def recording(params, h, bufs=None):
+        seen.append(bufs)
+        return hidden_layers(params, h, bufs)
+
+    monkeypatch.setattr(network, "_hidden_layers", recording)
+    forward([init_params(make_rng(k)) for k in range(3)], np.linspace(-1.0, 1.0, n))
+    assert len(seen) == 3 * (n // F)
+    first = seen[0]
+    assert [(b.shape, b.dtype) for b in first] == [((rows, LAYER_SIZES[1]), np.float64)] * 2
+    assert all(len(bufs) == 2 and all(a is b for a, b in zip(bufs, first)) for bufs in seen)
 
 
-def _forward_peak_bytes(params: MlpParams, n: int) -> int:
+def _forward_peak_bytes(members: list[MlpParams], n: int) -> int:
     x = np.linspace(-1.0, 1.0, n)
     tracemalloc.start()
     try:
-        forward(params, x)
+        forward(members, x)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_forward_memory_is_bounded_in_rows() -> None:
-    params = init_params(make_rng(5))
-    small = _forward_peak_bytes(params, C)
-    big = _forward_peak_bytes(params, 32 * C)
+    members = [init_params(make_rng(k)) for k in (5, 6, 7)]
+    small = _forward_peak_bytes(members, C)
+    big = _forward_peak_bytes(members, 32 * C)
     assert big < 32 * C * 256 * 8  # one full-size hidden activation
-    # two work buffers of F rows, plus 40 bytes a row for the (N, 2) output
-    # and the variance (32 bytes measured): 4096-row buffers do not fit
-    assert big < 2 * F * 256 * 8 + 40 * 32 * C
-    # beyond the (N, 2) output and the variance, nothing grows with N
-    assert big - small < 32 * (32 * C - C)
+    # one pair of work buffers of F rows, plus 24 bytes a row per member for
+    # its (N, 2) output (16.4 measured, the outputs of all members beside the
+    # buffers): 4096-row buffers, a second live pair, or a pair still held
+    # while the variances are computed (26.7 a row per member) do not fit
+    assert big < 2 * F * 256 * 8 + 3 * 24 * 32 * C
+    # beyond each member's (N, 2) output, nothing grows with N
+    assert big - small < 3 * 24 * (32 * C - C)
 
 
 def test_loss_equals_negative_log_density() -> None:

@@ -19,7 +19,7 @@ from uqeval.datasets import DatasetKind, DomainError, LabeledSet, Split, generat
 from uqeval.distributions import Gaussian, GaussianMixture, VARIANCE_FLOOR
 from uqeval.experiments import density_grid_csv
 from uqeval.metrics import nll
-from uqeval import cores, network, predictors
+from uqeval import cores, predictors
 from uqeval.cores import map_on_cores
 from uqeval.network import FORWARD_CHUNK_ROWS, forward, init_params
 from uqeval.predictors import (
@@ -245,8 +245,9 @@ def test_predict_is_moment_matched_member_mixture() -> None:
     de = train_ensemble(small_train_set(), SMALL)
     x = np.linspace(-1, 1, 17)
     dist = de.predict(x)
-    means = np.stack([np.asarray(forward(p, x).mean) for p in de.members])
-    variances = np.stack([np.asarray(forward(p, x).variance) for p in de.members])
+    comps = forward(de.members, x)
+    means = np.stack([c.mean for c in comps])
+    variances = np.stack([c.variance for c in comps])
     mean = means.mean(axis=0)
     var = (variances + means**2).mean(axis=0) - mean**2
     assert np.allclose(dist.mean, mean, rtol=1e-12)
@@ -260,7 +261,7 @@ def test_six_member_prediction_weights_members_by_normalized_sixths() -> None:
     members = tuple(init_params(rng) for _ in range(6))
     de = EnsemblePredictor(members, TrainConfig(ensemble_size=6, epochs=1), ((0.0,),) * 6)
     x = np.linspace(-1, 1, 33)
-    comps = [forward(p, x) for p in members]
+    comps = forward(members, x)
     w = np.full(6, 1.0 / 6.0)
     w = w / w.sum()
     mean = sum(wi * c.mean for wi, c in zip(w, comps))
@@ -291,18 +292,18 @@ def test_predictions_hold_one_value_per_input_row(name, n) -> None:
         assert isinstance(value, np.ndarray) and value.shape == (n,)
 
 
-def test_predict_shares_one_pair_of_work_buffers_across_members(monkeypatch) -> None:
+def test_predict_runs_all_members_in_one_forward_call(monkeypatch) -> None:
+    # `forward` owns the work buffers, so one call shares one pair across members
     de = train_ensemble(small_train_set(), TrainConfig(ensemble_size=3, epochs=1, batch_size=64))
-    sizes, make = [], network.work_buffers
+    calls, run = [], predictors.forward
 
-    def counting(n):
-        sizes.append(n)
-        return make(n)
+    def spy(members, x):
+        calls.append(tuple(members))
+        return run(members, x)
 
-    monkeypatch.setattr(predictors, "work_buffers", counting)
-    monkeypatch.setattr(network, "work_buffers", counting)
+    monkeypatch.setattr(predictors, "forward", spy)
     de.predict(np.linspace(-1, 1, 17))
-    assert sizes == [17]
+    assert calls == [de.members]  # MlpParams compare by identity
 
 
 @pytest.mark.parametrize("n", [2 * B - 1, 2 * B + 1])
