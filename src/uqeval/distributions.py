@@ -171,8 +171,9 @@ def ndtr(a) -> np.ndarray:
     # |x| >= 1/sqrt(2): 0.5 erfc(|x|), reflected to 1 - 0.5 erfc(|x|) for
     # x > 0; erfc(|x|) is 1 - erf(|x|) below 1
     y = 1.0 - erf
-    tail = z >= 1.0
-    y[tail] = _erfc_tail(z[tail])
+    tail = np.flatnonzero(z >= 1.0)  # one index array for the gather and the scatter
+    if len(tail):
+        y[tail] = _erfc_tail(z[tail])
     y *= 0.5
     np.putmask(y, x > 0.0, 1.0 - y)
     # |x| < 1/sqrt(2): 0.5 + 0.5 erf(x), with erf odd

@@ -22,7 +22,7 @@ import numpy as np
 from .seeds import TAG_TIEBREAK, derive_seed, make_rng
 
 
-CURVE_BLOCK_ROWS = 2**12  # removal counts computed at once by sparsification_curve
+CURVE_BLOCK_ROWS = 2**12  # sparsification curve fractions computed at once
 
 
 class UndefinedMetricError(ValueError):
@@ -126,26 +126,80 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _fill_removal_curve(curve: np.ndarray, fractions: np.ndarray, prefix: np.ndarray,
-                        total: float) -> None:
-    """curve[k]: normalized retained MAE once floor(fractions[k] * n) rows are removed.
+def _tie_shuffle(n: int, tie_seed: int) -> np.ndarray:
+    """The seeded permutation of range(n) that breaks AUSE's ordering ties."""
+    return make_rng(derive_seed(tie_seed, TAG_TIEBREAK)).permutation(n)
 
-    `prefix[r]` is the error sum of the first r rows in removal order.  The
-    removed counts and the arithmetic run CURVE_BLOCK_ROWS values at a time,
-    written into `curve`.
+
+def _removal_order(values: np.ndarray, order: np.ndarray, shuffle: np.ndarray) -> np.ndarray:
+    """AUSE's removal order, shuffle[np.argsort(-values[shuffle], kind="stable")].
+
+    That is the values in descending order, each tie run in shuffle order.
+    It is made from `order`, a default ascending argsort of `values`,
+    which the caller no longer needs.  Without a tie it is `order`
+    reversed; with a single run it is `shuffle`.  Otherwise every row is
+    sorted again, the negated values in shuffle order by `_stable_order`,
+    and the result written over `order` (int64, the size of a float64),
+    so no more than four n-length arrays are held, `order` and `shuffle`
+    included.
     """
-    n = len(curve)
-    if total == 0.0:
-        # all-zero errors: every retained subset has MAE 0; the normalized
-        # curve is taken as identically 1
-        curve.fill(1.0)
-        return
+    starts = _run_starts(values[order])
+    if starts.all():
+        return order[::-1]
+    if not starts[1:].any():
+        return shuffle
+    del starts
+    negated = order.view(np.float64)
+    np.negative(values[shuffle], out=negated)
+    return np.take(shuffle, _stable_order(negated), out=order)
+
+
+def _fill_prefix(prefix: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """prefix[r] = the sum of ordered[:r], for r = 0..n, written into `prefix`."""
+    prefix[0] = 0.0
+    np.cumsum(ordered, out=prefix[1:])
+    return prefix
+
+
+def _prefix_and_sorted_errors(records: EvaluationRecords, order: np.ndarray,
+                              shuffle: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """The error-sum prefix in removal order, the error total and the sorted errors.
+
+    `order` is a default argsort of the uncertainties, used up by
+    `_removal_order`.  The total is summed in shuffle order, which fixes
+    its last bits; the errors gathered for it are then sorted in place,
+    for the oracle curve.  Tied errors are equal values, so that order
+    needs no tie break.
+    """
+    errors = records.abs_errors
+    gathered = errors[_removal_order(records.uncertainties, order, shuffle)]
+    prefix = _fill_prefix(np.empty(len(errors) + 1), gathered)
+    np.take(errors, shuffle, out=gathered, mode="clip")  # valid indices; "clip" skips a copy of out
+    total = float(gathered.sum())
+    gathered.sort()
+    return prefix, total, gathered
+
+
+def _curve_blocks(prefix: np.ndarray, total: float):
+    """(rows, fractions, curve) per CURVE_BLOCK_ROWS block of the grid k / n, k = 0..n-1.
+
+    `curve` is the normalized retained MAE once floor(fractions * n) rows
+    are removed, for `prefix[r]` the error sum of the first r rows in
+    removal order.  All-zero errors give MAE 0 on every retained subset;
+    that normalized curve is taken as identically 1.
+    """
+    n = len(prefix) - 1
     for lo in range(0, n, CURVE_BLOCK_ROWS):
-        removed = np.floor(fractions[lo : lo + CURVE_BLOCK_ROWS] * n).astype(np.int64)
-        block = curve[lo : lo + CURVE_BLOCK_ROWS]
-        np.subtract(total, prefix[removed], out=block)
-        block /= n - removed
-        block /= total / n
+        fractions = np.arange(lo, min(lo + CURVE_BLOCK_ROWS, n), dtype=np.float64)
+        fractions /= n
+        if total == 0.0:
+            curve = np.ones(len(fractions))
+        else:
+            removed = np.floor(fractions * n).astype(np.int64)
+            curve = np.subtract(total, prefix[removed])
+            curve /= n - removed
+            curve /= total / n
+        yield slice(lo, lo + CURVE_BLOCK_ROWS), fractions, curve
 
 
 def sparsification_curve(records: EvaluationRecords, tie_seed: int = 0) -> SparsificationCurve:
@@ -155,49 +209,54 @@ def sparsification_curve(records: EvaluationRecords, tie_seed: int = 0) -> Spars
     quotient rounds down (k = 1 at N = 49, say).  Ordering ties (notably
     constant uncertainties) are broken by a seeded uniform shuffle applied
     before a stable descending sort, so the result is deterministic in
-    (records, tie_seed).  Tied errors are equal values, so the oracle
-    curve only needs the sorted errors.  The total is summed in shuffled
-    order, which fixes its last bits.
+    (records, tie_seed).  The removal order is made from the default
+    argsort of the uncertainties (`_removal_order`); tied errors are equal
+    values, so the oracle curve only needs the sorted errors.  The total is summed in
+    shuffled order, which fixes its last bits.
 
-    The curves are computed in place and in blocks of CURVE_BLOCK_ROWS:
-    one error-sum prefix serves both curves in turn, so at most four
-    N-length float64 arrays, the three results included, are held at once.
+    The curves are computed in blocks of CURVE_BLOCK_ROWS: one error-sum
+    prefix serves both curves in turn, so at most four N-length float64
+    arrays, the three results included, are held at once.
     """
     _require_nonempty(records)
     n = len(records)
-    perm = make_rng(derive_seed(tie_seed, TAG_TIEBREAK)).permutation(n)
-    errors = records.abs_errors[perm]
-    neg_u = records.uncertainties[perm]
-    del perm
-    np.negative(neg_u, out=neg_u)
-    order = _stable_order(neg_u)
-    del neg_u
-    total = float(errors.sum())
-
-    ordered = errors[order]
-    del order
-    prefix = np.empty(n + 1)
-    prefix[0] = 0.0
-    np.cumsum(ordered, out=prefix[1:])
-    del ordered
-    fractions = np.arange(n, dtype=np.float64)
-    fractions /= n
+    prefix, total, errors = _prefix_and_sorted_errors(
+        records, np.argsort(records.uncertainties), _tie_shuffle(n, tie_seed))
+    fractions = np.empty(n)
     by_uncertainty = np.empty(n)
-    _fill_removal_curve(by_uncertainty, fractions, prefix, total)
-
-    errors.sort()
-    np.cumsum(errors[::-1], out=prefix[1:])
+    for rows, block_fractions, curve in _curve_blocks(prefix, total):
+        fractions[rows] = block_fractions
+        by_uncertainty[rows] = curve
+    _fill_prefix(prefix, errors[::-1])
     del errors
     by_oracle = np.empty(n)
-    _fill_removal_curve(by_oracle, fractions, prefix, total)
+    for rows, _, curve in _curve_blocks(prefix, total):
+        by_oracle[rows] = curve
     return SparsificationCurve(fractions, by_uncertainty, by_oracle)
 
 
 def ause(records: EvaluationRecords, tie_seed: int = 0) -> float:
     """Mean gap between the two sparsification curves (left Riemann sum)."""
-    curve = sparsification_curve(records, tie_seed)
-    gap = curve.by_uncertainty
-    gap -= curve.by_oracle
+    _require_nonempty(records)
+    return _ause(records, np.argsort(records.uncertainties), tie_seed)
+
+
+def _ause(records: EvaluationRecords, order: np.ndarray, tie_seed: int) -> float:
+    """`ause`, given `order`, a default argsort of the uncertainties, used up here.
+
+    Only the gap between the curves is kept, made CURVE_BLOCK_ROWS
+    fractions at a time as `sparsification_curve` makes the curves, so
+    with `order` at most four N-length arrays are held.
+    """
+    n = len(records)
+    prefix, total, errors = _prefix_and_sorted_errors(records, order, _tie_shuffle(n, tie_seed))
+    gap = np.empty(n)
+    for rows, _, curve in _curve_blocks(prefix, total):
+        gap[rows] = curve
+    _fill_prefix(prefix, errors[::-1])
+    del errors
+    for rows, _, curve in _curve_blocks(prefix, total):
+        gap[rows] -= curve
     return float(np.mean(gap))
 
 
@@ -252,10 +311,15 @@ def rank(values: np.ndarray, tie_mode: RankTieMode = RankTieMode.PAPER) -> np.nd
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("values must be a nonempty 1-D array")
-    n = len(values)
     order = np.argsort(values)
     if np.isnan(values[order[-1]]):  # nan sorts last
         raise ValueError("values must not contain nan")
+    return _ranks_by_order(values, order, tie_mode)
+
+
+def _ranks_by_order(values: np.ndarray, order: np.ndarray, tie_mode: RankTieMode) -> np.ndarray:
+    """`rank` of `values`, given any ascending argsort of them."""
+    n = len(values)
     inside = _run_starts(values[order])
     np.logical_not(inside, out=inside)  # true where a tie run continues
     first = np.arange(n)
@@ -292,21 +356,31 @@ def spearman(
     e = np.asarray(abs_errors, dtype=np.float64)
     if u.shape != e.shape or u.ndim != 1:
         raise ValueError("inputs must be 1-D arrays of equal length")
+    return _spearman(u, e, np.argsort(u), tie_mode)
+
+
+def _spearman(u: np.ndarray, e: np.ndarray, order: np.ndarray, tie_mode: RankTieMode) -> float:
+    """`spearman`, given `order`, a default argsort of `u`.
+
+    The errors are ranked first, so that with `order` no more than four
+    n-length arrays are held.
+    """
     if len(u) < 2:
         raise UndefinedMetricError("need at least 2 samples")
-    du = _centred_ranks(u, tie_mode)
-    suu = np.sum(du * du)  # before e is ranked, while du is the only rank vector held
-    de = _centred_ranks(e, tie_mode)
-    denom = np.sqrt(suu * np.sum(de * de))
+    if np.isnan(u[order[-1]]):  # nan sorts last
+        raise ValueError("values must not contain nan")
+    de = _centred(rank(e, tie_mode))
+    du = _centred(_ranks_by_order(u, order, tie_mode))
+    denom = np.sqrt(np.sum(du * du) * np.sum(de * de))
     if denom == 0.0:
         raise UndefinedMetricError("rank variance is zero")
     np.multiply(du, de, out=du)
     return float(np.clip(np.sum(du) / denom, -1.0, 1.0))
 
 
-def _centred_ranks(values: np.ndarray, tie_mode: RankTieMode) -> np.ndarray:
+def _centred(ranks: np.ndarray) -> np.ndarray:
     """float64 ranks minus their mean, centred in place."""
-    ranks = rank(values, tie_mode).astype(np.float64, copy=False)
+    ranks = ranks.astype(np.float64, copy=False)
     ranks -= ranks.mean()
     return ranks
 
@@ -349,21 +423,27 @@ class MetricReport:
 
 
 def evaluate(records: EvaluationRecords, config: EvalConfig | None = None) -> MetricReport:
-    """All four metrics in one pass.
+    """All four metrics in one pass, each bit for bit its own function's value.
 
     Empty records raise ValueError.  A Spearman correlation that is
     undefined (fewer than two samples, or constant uncertainties or
     errors) is recorded as nan with a RuntimeWarning, never as a silent 0.
+
+    The uncertainties are sorted once: one default argsort gives
+    Spearman's ranks (`_spearman`) and then AUSE's removal order
+    (`_ause`), which sorts again only when values tie but not all of
+    them do (`_removal_order`).
     """
     _require_nonempty(records)
     config = config or EvalConfig()
+    order = np.argsort(records.uncertainties)
     try:
-        rho = spearman(records.uncertainties, records.abs_errors, config.rank_tie_mode)
+        rho = _spearman(records.uncertainties, records.abs_errors, order, config.rank_tie_mode)
     except UndefinedMetricError as exc:
         warnings.warn(f"spearman undefined ({exc}); recording nan", RuntimeWarning)
         rho = float("nan")
     return MetricReport(
-        ause=ause(records),
+        ause=_ause(records, order, 0),
         ce=calibration_error(records.pits, config),
         spearman=rho,
         nll=nll(records),

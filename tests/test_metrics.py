@@ -17,6 +17,7 @@ from uqeval.metrics import (
     RankTieMode,
     UndefinedMetricError,
     WeightMode,
+    _removal_order,
     _stable_order,
     ause,
     calibration_error,
@@ -309,6 +310,18 @@ def test_stable_order_equals_stable_argsort_with_ties(fields) -> None:
         assert np.array_equal(_stable_order(-values), np.argsort(-values, kind="stable"))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 3000), st.integers(0, 2**32))
+def test_removal_order_equals_stable_argsort_of_the_shuffle(n, distinct, seed) -> None:
+    # many distinct values tie a few rows or none (the argsort reversed),
+    # few tie most rows (every row sorted again), one ties all (the shuffle)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, distinct, size=n) * 0.5
+    shuffle = rng.permutation(n)
+    expected = shuffle[np.argsort(-values[shuffle], kind="stable")]
+    assert np.array_equal(_removal_order(values, np.argsort(values), shuffle), expected)
+
+
 # ------------------------------------------------------------- memory bounds
 
 def peak_bytes(fn) -> int:
@@ -336,6 +349,11 @@ def test_metric_memory_is_four_arrays_plus_one_block(n, uncertainty_kind) -> Non
     if uncertainty_kind != "constant":
         for mode in RankTieMode:
             peaks[f"spearman-{mode.value}"] = peak_bytes(lambda: spearman(u, e, mode))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # constant uncertainties
+        for mode in RankTieMode:
+            config = EvalConfig(rank_tie_mode=mode)
+            peaks[f"evaluate-{mode.value}"] = peak_bytes(lambda: evaluate(rec, config))
     assert max(peaks.values()) <= 4 * 8 * n + n + 8 * 8 * CURVE_BLOCK_ROWS, peaks
 
 
@@ -548,6 +566,24 @@ def test_nll_is_mean_negative_log_density() -> None:
     assert nll(rec) == pytest.approx(1.5)
 
 
+def assert_evaluate_matches_single_metrics(rec, config) -> None:
+    """evaluate's report is, bit for bit, what the four single metrics give."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = evaluate(rec, config)
+    try:
+        rho = spearman(rec.uncertainties, rec.abs_errors, config.rank_tie_mode)
+    except UndefinedMetricError as exc:
+        assert [str(w.message) for w in caught] == [f"spearman undefined ({exc}); recording nan"]
+        assert math.isnan(report.spearman)
+    else:
+        assert caught == []
+        assert report.spearman == rho
+    assert report.ause == ause(rec)
+    assert report.ce == calibration_error(rec.pits, config)
+    assert report.nll == nll(rec)
+
+
 @pytest.mark.parametrize("config", [
     EvalConfig(),
     EvalConfig(7, WeightMode.UNIFORM, RankTieMode.AVERAGE),
@@ -562,11 +598,47 @@ def test_evaluate_bundles_individual_metrics(config) -> None:
         pits=rng.uniform(size=n),
     )
     report = evaluate(rec, config)
-    assert report.ause == pytest.approx(ause(rec))
-    assert report.ce == pytest.approx(calibration_error(rec.pits, config))
-    assert report.spearman == pytest.approx(
-        spearman(rec.uncertainties, rec.abs_errors, config.rank_tie_mode))
-    assert report.nll == pytest.approx(nll(rec))
+    assert report.ause == ause(rec)
+    assert report.ce == calibration_error(rec.pits, config)
+    assert report.spearman == spearman(rec.uncertainties, rec.abs_errors, config.rank_tie_mode)
+    assert report.nll == nll(rec)
+
+
+def records_with_scores(e, u, rng) -> EvaluationRecords:
+    n = len(e)
+    return EvaluationRecords(e, u, rng.normal(size=n), rng.uniform(size=n))
+
+
+@pytest.mark.parametrize("mode", list(RankTieMode))
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 49, 4097, 65536])
+@pytest.mark.parametrize("error_kind", sorted(FIELD_KINDS))
+@pytest.mark.parametrize("uncertainty_kind", sorted(FIELD_KINDS))
+def test_evaluate_bit_identical_to_single_metrics(n, error_kind, uncertainty_kind, mode) -> None:
+    rng = np.random.default_rng(n)
+    e = FIELD_KINDS[error_kind](rng, n)
+    u = FIELD_KINDS[uncertainty_kind](rng, n)
+    assert_evaluate_matches_single_metrics(records_with_scores(e, u, rng), EvalConfig(rank_tie_mode=mode))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_fields(), st.sampled_from(list(RankTieMode)))
+def test_evaluate_on_tie_heavy_fields_bit_identical_to_single_metrics(fields, mode) -> None:
+    e, u = fields
+    rec = records_with_scores(e, u, np.random.default_rng(len(e)))
+    assert_evaluate_matches_single_metrics(rec, EvalConfig(rank_tie_mode=mode))
+
+
+@pytest.mark.parametrize("tied", [1, 4, 2**14], ids=["one", "floor-4", "quarter"])
+@pytest.mark.parametrize("mode", list(RankTieMode))
+def test_evaluate_breaks_a_few_exact_ties_among_distinct_values(tied, mode) -> None:
+    # distinct uncertainties but for `tied` rows on the variance floor, as
+    # the heteroscedastic oracle has 4 at 2^20 rows; one such row is no tie
+    n = 2**16
+    rng = np.random.default_rng(tied)
+    u = rng.uniform(1.0, 2.0, size=n)
+    u[rng.choice(n, size=tied, replace=False)] = 1e-12
+    rec = records_with_scores(rng.exponential(size=n), u, rng)
+    assert_evaluate_matches_single_metrics(rec, EvalConfig(rank_tie_mode=mode))
 
 
 def test_evaluate_records_undefined_spearman_as_nan() -> None:
