@@ -105,18 +105,12 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
 def _stable_order(values: np.ndarray) -> np.ndarray:
     """Exactly np.argsort(values, kind="stable"), from one default sort.
 
-    Without a tie run the default order is the only ascending order, and
-    it is returned as it is.  Otherwise any argsort groups ties into runs;
-    sorting the keys run_id * n + index then puts each run back in index
-    order.
+    Any argsort groups ties into runs; sorting the keys run_id * n + index
+    then puts each run back in index order.
     """
     n = len(values)
     order = np.argsort(values)
-    starts = _run_starts(values[order])
-    if starts.all():
-        return order
-    keys = starts.astype(np.int64)
-    del starts
+    keys = _run_starts(values[order]).astype(np.int64)
     np.cumsum(keys, out=keys)  # run ids; a bool input would be cast to an int64 copy first
     keys *= n
     keys += order
@@ -161,45 +155,54 @@ def _fill_prefix(prefix: np.ndarray, ordered: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def _prefix_and_sorted_errors(records: EvaluationRecords, order: np.ndarray,
-                              shuffle: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """The error-sum prefix in removal order, the error total and the sorted errors.
+def _fill_curve(curve: np.ndarray, prefix: np.ndarray, total: float) -> np.ndarray:
+    """Writes one curve on the grid k / n, k = 0..n-1, into `curve`, CURVE_BLOCK_ROWS at a time.
+
+    curve[k] is the normalized retained MAE once floor(k / n * n) rows are
+    removed, for `prefix[r]` the error sum of the first r rows in removal
+    order.  All-zero errors give MAE 0 on every retained subset; that
+    normalized curve is taken as identically 1.
+    """
+    n = len(curve)
+    if total == 0.0:
+        curve.fill(1.0)
+        return curve
+    for lo in range(0, n, CURVE_BLOCK_ROWS):
+        fractions = np.arange(lo, min(lo + CURVE_BLOCK_ROWS, n), dtype=np.float64)
+        fractions /= n
+        removed = np.floor(fractions * n).astype(np.int64)
+        block = curve[lo:lo + CURVE_BLOCK_ROWS]
+        np.subtract(total, prefix[removed], out=block)
+        block /= n - removed
+        block /= total / n
+    return curve
+
+
+def _curves(records: EvaluationRecords, order: np.ndarray,
+            tie_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(by_uncertainty, by_oracle): both sparsification curves of `records`.
 
     `order` is a default argsort of the uncertainties, used up by
     `_removal_order`.  The total is summed in shuffle order, which fixes
     its last bits; the errors gathered for it are then sorted in place,
     for the oracle curve.  Tied errors are equal values, so that order
-    needs no tie break.
+    needs no tie break.  One error-sum prefix serves both curves in turn,
+    so with `order` at most four n-length arrays are held: order, prefix,
+    errors and a curve, then order, prefix and the two curves.
     """
+    n = len(records)
     errors = records.abs_errors
+    shuffle = _tie_shuffle(n, tie_seed)
     gathered = errors[_removal_order(records.uncertainties, order, shuffle)]
-    prefix = _fill_prefix(np.empty(len(errors) + 1), gathered)
+    prefix = _fill_prefix(np.empty(n + 1), gathered)
     np.take(errors, shuffle, out=gathered, mode="clip")  # valid indices; "clip" skips a copy of out
+    del shuffle
     total = float(gathered.sum())
     gathered.sort()
-    return prefix, total, gathered
-
-
-def _curve_blocks(prefix: np.ndarray, total: float):
-    """(rows, fractions, curve) per CURVE_BLOCK_ROWS block of the grid k / n, k = 0..n-1.
-
-    `curve` is the normalized retained MAE once floor(fractions * n) rows
-    are removed, for `prefix[r]` the error sum of the first r rows in
-    removal order.  All-zero errors give MAE 0 on every retained subset;
-    that normalized curve is taken as identically 1.
-    """
-    n = len(prefix) - 1
-    for lo in range(0, n, CURVE_BLOCK_ROWS):
-        fractions = np.arange(lo, min(lo + CURVE_BLOCK_ROWS, n), dtype=np.float64)
-        fractions /= n
-        if total == 0.0:
-            curve = np.ones(len(fractions))
-        else:
-            removed = np.floor(fractions * n).astype(np.int64)
-            curve = np.subtract(total, prefix[removed])
-            curve /= n - removed
-            curve /= total / n
-        yield slice(lo, lo + CURVE_BLOCK_ROWS), fractions, curve
+    by_uncertainty = _fill_curve(np.empty(n), prefix, total)
+    _fill_prefix(prefix, gathered[::-1])
+    del gathered
+    return by_uncertainty, _fill_curve(np.empty(n), prefix, total)
 
 
 def sparsification_curve(records: EvaluationRecords, tie_seed: int = 0) -> SparsificationCurve:
@@ -209,29 +212,15 @@ def sparsification_curve(records: EvaluationRecords, tie_seed: int = 0) -> Spars
     quotient rounds down (k = 1 at N = 49, say).  Ordering ties (notably
     constant uncertainties) are broken by a seeded uniform shuffle applied
     before a stable descending sort, so the result is deterministic in
-    (records, tie_seed).  The removal order is made from the default
-    argsort of the uncertainties (`_removal_order`); tied errors are equal
-    values, so the oracle curve only needs the sorted errors.  The total is summed in
-    shuffled order, which fixes its last bits.
-
-    The curves are computed in blocks of CURVE_BLOCK_ROWS: one error-sum
-    prefix serves both curves in turn, so at most four N-length float64
-    arrays, the three results included, are held at once.
+    (records, tie_seed).  The fractions are made only once `_curves` has
+    made the curves, so at most four N-length float64 arrays are held at
+    once.
     """
     _require_nonempty(records)
     n = len(records)
-    prefix, total, errors = _prefix_and_sorted_errors(
-        records, np.argsort(records.uncertainties), _tie_shuffle(n, tie_seed))
-    fractions = np.empty(n)
-    by_uncertainty = np.empty(n)
-    for rows, block_fractions, curve in _curve_blocks(prefix, total):
-        fractions[rows] = block_fractions
-        by_uncertainty[rows] = curve
-    _fill_prefix(prefix, errors[::-1])
-    del errors
-    by_oracle = np.empty(n)
-    for rows, _, curve in _curve_blocks(prefix, total):
-        by_oracle[rows] = curve
+    by_uncertainty, by_oracle = _curves(records, np.argsort(records.uncertainties), tie_seed)
+    fractions = np.arange(n, dtype=np.float64)
+    fractions /= n
     return SparsificationCurve(fractions, by_uncertainty, by_oracle)
 
 
@@ -242,21 +231,9 @@ def ause(records: EvaluationRecords, tie_seed: int = 0) -> float:
 
 
 def _ause(records: EvaluationRecords, order: np.ndarray, tie_seed: int) -> float:
-    """`ause`, given `order`, a default argsort of the uncertainties, used up here.
-
-    Only the gap between the curves is kept, made CURVE_BLOCK_ROWS
-    fractions at a time as `sparsification_curve` makes the curves, so
-    with `order` at most four N-length arrays are held.
-    """
-    n = len(records)
-    prefix, total, errors = _prefix_and_sorted_errors(records, order, _tie_shuffle(n, tie_seed))
-    gap = np.empty(n)
-    for rows, _, curve in _curve_blocks(prefix, total):
-        gap[rows] = curve
-    _fill_prefix(prefix, errors[::-1])
-    del errors
-    for rows, _, curve in _curve_blocks(prefix, total):
-        gap[rows] -= curve
+    """`ause`, given `order`, a default argsort of the uncertainties, used up here."""
+    gap, by_oracle = _curves(records, order, tie_seed)
+    gap -= by_oracle
     return float(np.mean(gap))
 
 

@@ -171,19 +171,14 @@ def train_ensemble(train: LabeledSet, config: TrainConfig | None = None) -> Ense
 
 # ----------------------------------------------------------------- persistence
 
+_CONFIG_INTEGERS = ("ensemble_size", "epochs", "batch_size", "seed")
+_CONFIG_ADAM = ("learning_rate", "beta1", "beta2", "eps")  # recorded, not read back
+
+
 def save_ensemble(predictor: EnsemblePredictor, path) -> None:
     """Single .npz archive: version tag, config JSON, parameter arrays."""
-    cfg = predictor.config
-    meta = {
-        "ensemble_size": cfg.ensemble_size,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": LEARNING_RATE,
-        "beta1": BETA1,
-        "beta2": BETA2,
-        "eps": EPS,
-        "seed": cfg.seed,
-    }
+    meta = {key: getattr(predictor.config, key) for key in _CONFIG_INTEGERS}
+    meta.update(zip(_CONFIG_ADAM, (LEARNING_RATE, BETA1, BETA2, EPS)))
     arrays = {
         "format": np.array(ENSEMBLE_FORMAT),
         "config_json": np.array(json.dumps(meta, sort_keys=True)),
@@ -239,10 +234,6 @@ def load_ensemble(path) -> EnsemblePredictor:
         except (zipfile.BadZipFile, zlib.error, lzma.LZMAError, EOFError, OSError,
                 NotImplementedError, RuntimeError, UnicodeDecodeError) as exc:
             raise ValueError(f"model file {path}: not a readable .npz archive ({exc})") from exc
-
-
-_CONFIG_INTEGERS = ("ensemble_size", "epochs", "batch_size", "seed")
-_CONFIG_ADAM = ("learning_rate", "beta1", "beta2", "eps")  # recorded, not read back
 
 
 def _config_from_json(text: str, path) -> TrainConfig:

@@ -221,6 +221,8 @@ def assert_bit_identical(e, u, tie_seeds=(0, 7)) -> None:
         ref_u, ref_e = reference_curves(rec, tie_seed)
         assert curve.by_uncertainty.tobytes() == ref_u.tobytes()
         assert curve.by_oracle.tobytes() == ref_e.tobytes()
+        assert curve.fractions.tobytes() == (np.arange(len(e)) / len(e)).tobytes()
+        assert np.float64(ause(rec, tie_seed)).tobytes() == np.mean(ref_u - ref_e).tobytes()
     for mode in RankTieMode:
         for values in (e, u):
             ours, ref = rank(values, mode), reference_rank(values, mode)
@@ -294,7 +296,7 @@ def test_tie_heavy_fields_bit_identical_to_two_sort_reference(fields, tie_seed) 
 # ------------------------------------------------------------- stable order
 
 @pytest.mark.parametrize("values", [
-    np.array([0.3, -1.0, 2.5, 0.0, 7.0]),  # all distinct: the default order as it is
+    np.array([0.3, -1.0, 2.5, 0.0, 7.0]),  # all distinct: one run per value
     np.full(9, 0.37),  # one tie run: the identity
     np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),  # +0.0 and -0.0 are equal values
     np.array([4.2]),
@@ -597,11 +599,7 @@ def test_evaluate_bundles_individual_metrics(config) -> None:
         log_densities=rng.normal(size=n),
         pits=rng.uniform(size=n),
     )
-    report = evaluate(rec, config)
-    assert report.ause == ause(rec)
-    assert report.ce == calibration_error(rec.pits, config)
-    assert report.spearman == spearman(rec.uncertainties, rec.abs_errors, config.rank_tie_mode)
-    assert report.nll == nll(rec)
+    assert_evaluate_matches_single_metrics(rec, config)
 
 
 def records_with_scores(e, u, rng) -> EvaluationRecords:

@@ -27,3 +27,38 @@ def test_no_module_imports_another_modules_private_name() -> None:
     assert len(modules) >= 10
     found = {path.name: private_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def dead_private_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level `_`-prefixed function named nowhere but in its own def."""
+    defined, named = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [(module, name) for module, name in defined if name not in named]
+
+
+def test_dead_private_functions_finds_an_unused_helper() -> None:
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    return _used()\n\n"
+                "def _imported():\n    pass\n\ndef _attribute():\n    pass\n",
+        "b.py": "from .a import _imported\nimport a\nf = a._attribute\n\n"
+                "def _recursive():\n    return _recursive\n\nclass C:\n    def _method(self):\n        pass\n",
+    }
+    # a name in a function's own body counts as a use, as `_recursive`'s does
+    assert dead_private_functions(sources) == [("a.py", "_dead")]
+
+
+def test_no_private_function_is_dead() -> None:
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
+    assert dead_private_functions(sources) == []
