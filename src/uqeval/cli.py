@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from collections.abc import Generator, Iterable
+from dataclasses import asdict
 
 import numpy as np
 
@@ -248,15 +249,14 @@ def _cmd_train(args):
     data = generate(DatasetKind(args.dataset), Split.TRAIN, args.n, args.seed)
     config = TrainConfig(seed=args.seed)
     predictor = train_ensemble(data, config)
-    vars(args).update(ensemble_size=config.ensemble_size, epochs=config.epochs,
-                      batch_size=config.batch_size, learning_rate=LEARNING_RATE)
+    vars(args).update(asdict(config), learning_rate=LEARNING_RATE)
     return lambda path: save_ensemble(predictor, path)
 
 
 def _cmd_eval(args) -> Iterable[str]:
     kind = DatasetKind(args.dataset)
     predictor = _predictor(args)
-    config = EvalConfig(args.thresholds, WeightMode(args.weights), RankTieMode(args.tie_mode))
+    config = EvalConfig(args.thresholds, args.weights, args.tie_mode)
     # the test set is freed once scored, so the metrics run beside the records alone
     records = make_records(predictor, generate(kind, Split.TEST, args.n, args.seed))
     report = evaluate(records, config)

@@ -176,9 +176,7 @@ class RunManifest:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["argv"] = list(self.argv)
-        payload["outputs"] = [dict(o) for o in self.outputs]
+        payload = asdict(self)  # json writes the tuples as arrays
         payload["config_hash"] = self.config_hash
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -196,12 +194,11 @@ def make_manifest(command: str, argv: list[str], parameters: dict, output_paths:
 
 
 def read_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return RunManifest(
-        command=payload["command"],
-        argv=tuple(payload["argv"]),
-        parameters=payload["parameters"],
-        outputs=tuple(payload["outputs"]),
-        manifest_version=payload["manifest_version"],
-    )
+    """The manifest `to_json` wrote to `path`; any other file raises ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        return RunManifest(payload["command"], tuple(payload["argv"]), payload["parameters"],
+                           tuple(payload["outputs"]), payload["manifest_version"])
+    except (KeyError, TypeError, ValueError) as exc:  # a field missing, or not a UTF-8 JSON object
+        raise ValueError(f"manifest {path}: not a run manifest ({exc!r})") from exc

@@ -291,7 +291,7 @@ def rank(values: np.ndarray, tie_mode: RankTieMode = RankTieMode.PAPER) -> np.nd
     order = np.argsort(values)
     if np.isnan(values[order[-1]]):  # nan sorts last
         raise ValueError("values must not contain nan")
-    return _ranks_by_order(values, order, tie_mode)
+    return _ranks_by_order(values, order, RankTieMode(tie_mode))
 
 
 def _ranks_by_order(values: np.ndarray, order: np.ndarray, tie_mode: RankTieMode) -> np.ndarray:
@@ -333,7 +333,7 @@ def spearman(
     e = np.asarray(abs_errors, dtype=np.float64)
     if u.shape != e.shape or u.ndim != 1:
         raise ValueError("inputs must be 1-D arrays of equal length")
-    return _spearman(u, e, np.argsort(u), tie_mode)
+    return _spearman(u, e, np.argsort(u), RankTieMode(tie_mode))
 
 
 def _spearman(u: np.ndarray, e: np.ndarray, order: np.ndarray, tie_mode: RankTieMode) -> float:
@@ -382,6 +382,8 @@ class EvalConfig:
         t = self.thresholds
         if not isinstance(t, int) or isinstance(t, bool) or t < 2:
             raise ValueError(f"thresholds must be an int count of at least 2, got {t!r}")
+        object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))  # a mode or its name
+        object.__setattr__(self, "rank_tie_mode", RankTieMode(self.rank_tie_mode))
 
 
 REPORT_HEADER = "dataset,predictor,ause,ce,spearman,nll"

@@ -26,6 +26,8 @@ import numpy as np
 from .distributions import Gaussian
 
 LAYER_SIZES = (1, 256, 256, 256, 256, 2)
+# every parameter's shape in `MlpParams.arrays()` order: a layer's weights, then its bias
+PARAM_SHAPES = tuple(s for i, o in zip(LAYER_SIZES, LAYER_SIZES[1:]) for s in ((i, o), (o,)))
 VARIANCE_SHIFT = 1e-6
 FORWARD_CHUNK_ROWS = 4096  # rows per scoring chunk (predictors.predict_chunks)
 FORWARD_BLOCK_ROWS = 2048  # rows per forward block; see row_blocks
@@ -40,16 +42,12 @@ class MlpParams:
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        expected = list(zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]))
-        got = [w.shape for w in self.weights]
-        if got != expected or [b.shape for b in self.biases] != [(o,) for _, o in expected]:
-            raise ValueError(f"parameter shapes {got} do not match {expected}")
+        got = tuple(a.shape for a in self.arrays())
+        if len(self.weights) != len(self.biases) or got != PARAM_SHAPES:
+            raise ValueError(f"parameter shapes {got} do not match {PARAM_SHAPES}")
 
     def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        return [a for layer in zip(self.weights, self.biases) for a in layer]
 
 
 def init_params(rng: np.random.Generator) -> MlpParams:

@@ -12,7 +12,7 @@ import lzma
 import math
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -26,8 +26,8 @@ from .network import (
     BETA2,
     EPS,
     FORWARD_CHUNK_ROWS,
-    LAYER_SIZES,
     LEARNING_RATE,
+    PARAM_SHAPES,
     AdamState,
     MlpParams,
     adam_step,
@@ -99,7 +99,7 @@ class ScaledUncertaintyPredictor:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The ensemble recipe; Adam's settings are fixed in `network`."""
+    """The ensemble recipe (one rule for training and loading); Adam's settings are in `network`."""
 
     ensemble_size: int = 5
     epochs: int = 20
@@ -107,6 +107,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key, value in asdict(self).items():
+            if type(value) is not int:  # exact: no bool, float or numpy integer
+                raise ValueError(f"{key!r} must be an integer, got {value!r}")
         if min(self.ensemble_size, self.epochs, self.batch_size) < 1:
             raise ValueError(f"ensemble_size, epochs and batch_size must be positive, got "
                              f"{self.ensemble_size}, {self.epochs} and {self.batch_size}")
@@ -171,13 +174,18 @@ def train_ensemble(train: LabeledSet, config: TrainConfig | None = None) -> Ense
 
 # ----------------------------------------------------------------- persistence
 
-_CONFIG_INTEGERS = ("ensemble_size", "epochs", "batch_size", "seed")
+_CONFIG_INTEGERS = tuple(field.name for field in fields(TrainConfig))
 _CONFIG_ADAM = ("learning_rate", "beta1", "beta2", "eps")  # recorded, not read back
+
+
+def _member_keys(j: int) -> list[str]:
+    """Member j's archive keys, in `MlpParams.arrays()` (and PARAM_SHAPES) order."""
+    return [f"member{j}_{'wb'[i % 2]}{i // 2}" for i in range(len(PARAM_SHAPES))]
 
 
 def save_ensemble(predictor: EnsemblePredictor, path) -> None:
     """Single .npz archive: version tag, config JSON, parameter arrays."""
-    meta = {key: getattr(predictor.config, key) for key in _CONFIG_INTEGERS}
+    meta = asdict(predictor.config)
     meta.update(zip(_CONFIG_ADAM, (LEARNING_RATE, BETA1, BETA2, EPS)))
     arrays = {
         "format": np.array(ENSEMBLE_FORMAT),
@@ -185,9 +193,7 @@ def save_ensemble(predictor: EnsemblePredictor, path) -> None:
         "history": np.array(predictor.history, dtype=np.float64),
     }
     for j, params in enumerate(predictor.members):
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            arrays[f"member{j}_w{i}"] = w
-            arrays[f"member{j}_b{i}"] = b
+        arrays.update(zip(_member_keys(j), params.arrays()))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -237,24 +243,22 @@ def load_ensemble(path) -> EnsemblePredictor:
 
 
 def _config_from_json(text: str, path) -> TrainConfig:
-    """The TrainConfig of a `config_json` entry, which must hold JSON values of the saved types."""
+    """The TrainConfig of a `config_json` entry; the Adam values must be finite JSON numbers."""
     try:
         meta = json.loads(text)
         values = {key: meta[key] for key in _CONFIG_INTEGERS + _CONFIG_ADAM}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"model file {path}: malformed config_json ({exc!r})") from exc
-    for key, value in values.items():  # exact types: json reads true as a bool, an int subclass
-        if key in _CONFIG_INTEGERS:
-            ok, noun = type(value) is int, "an integer"
-        else:
-            ok = type(value) is int or (type(value) is float and math.isfinite(value))
-            noun = "a finite number"
-        if not ok:
-            raise ValueError(f"model file {path}: config_json {key!r} must be {noun}, got {value!r}")
     try:
-        return TrainConfig(**{key: values[key] for key in _CONFIG_INTEGERS})
+        config = TrainConfig(**{key: values[key] for key in _CONFIG_INTEGERS})
     except ValueError as exc:
-        raise ValueError(f"model file {path}: malformed config_json ({exc!r})") from exc
+        raise ValueError(f"model file {path}: config_json {exc}") from exc
+    for key in _CONFIG_ADAM:  # exact types: json reads true as a bool, an int subclass
+        value = values[key]
+        if not (type(value) is int or (type(value) is float and math.isfinite(value))):
+            raise ValueError(f"model file {path}: config_json {key!r} must be a finite number, "
+                             f"got {value!r}")
+    return config
 
 
 def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
@@ -262,19 +266,16 @@ def _ensemble_from_archive(archive, path) -> EnsemblePredictor:
     if fmt != ENSEMBLE_FORMAT:
         raise ValueError(f"model file {path}: unsupported model format {fmt!r}")
     config = _config_from_json(str(_entry(archive, "config_json", path)), path)
-    layers = list(enumerate(zip(LAYER_SIZES[:-1], LAYER_SIZES[1:])))
-    written = {"format", "config_json", "history"} | {
-        f"member{j}_{p}{i}" for j in range(config.ensemble_size) for i, _ in layers for p in "wb"
-    }
+    member_keys = [_member_keys(j) for j in range(config.ensemble_size)]
+    written = {"format", "config_json", "history"}.union(*member_keys)
     unexpected = sorted(set(archive.files) - written)
     if unexpected:
         raise ValueError(f"model file {path}: array {unexpected[0]!r} is not one save_ensemble "
                          f"writes for the {config.ensemble_size} members config_json declares")
     members = []
-    for j in range(config.ensemble_size):
-        weights = [_param_entry(archive, f"member{j}_w{i}", shape, path) for i, shape in layers]
-        biases = [_param_entry(archive, f"member{j}_b{i}", shape[1:], path) for i, shape in layers]
-        members.append(MlpParams(weights, biases))
+    for keys in member_keys:
+        flat = [_param_entry(archive, key, shape, path) for key, shape in zip(keys, PARAM_SHAPES)]
+        members.append(MlpParams(flat[::2], flat[1::2]))
     history = _param_entry(archive, "history", (config.ensemble_size, config.epochs), path)
     return EnsemblePredictor(tuple(members), config, tuple(tuple(row) for row in history))
 

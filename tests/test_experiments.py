@@ -437,6 +437,19 @@ def test_manifest_round_trip_and_hashes(tmp_path) -> None:
     assert back.config_hash == manifest.config_hash
 
 
+@pytest.mark.parametrize("text, problem", [
+    ('{"command": "eval"}', "(KeyError('argv'))"),
+    ('{"command": "eval",', "(JSONDecodeError("),
+    ('["eval"]', "(TypeError("),
+], ids=["missing-field", "not-json", "not-an-object"])
+def test_read_manifest_names_the_file(tmp_path, text, problem) -> None:
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_manifest(path)
+    assert str(info.value).startswith(f"manifest {path}: not a run manifest {problem}")
+
+
 def test_manifest_json_is_stable_and_config_hash_sensitive(tmp_path) -> None:
     artifact = tmp_path / "a.txt"
     artifact.write_text("data", encoding="utf-8")

@@ -602,6 +602,36 @@ def test_evaluate_bundles_individual_metrics(config) -> None:
     assert_evaluate_matches_single_metrics(rec, config)
 
 
+@pytest.mark.parametrize("weight_mode", list(WeightMode))
+@pytest.mark.parametrize("tie_mode", list(RankTieMode))
+def test_a_mode_name_selects_that_mode(weight_mode, tie_mode) -> None:
+    rng = np.random.default_rng(0)
+    pits = rng.random(64)
+    by_name = EvalConfig(weight_mode=weight_mode.value, rank_tie_mode=tie_mode.value)
+    by_mode = EvalConfig(weight_mode=weight_mode, rank_tie_mode=tie_mode)
+    assert (by_name.weight_mode, by_name.rank_tie_mode) == (weight_mode, tie_mode)
+    assert calibration_error(pits, by_name) == calibration_error(pits, by_mode)
+    tied = np.array([1.0, 1.0, 2.0])
+    a, b = rank(tied, tie_mode.value), rank(tied, tie_mode)
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+    u, e = rng.uniform(size=64).round(1), rng.exponential(size=64)
+    assert spearman(u, e, tie_mode.value) == spearman(u, e, tie_mode)
+    rec = EvaluationRecords(e, u, rng.normal(size=64), pits)
+    assert evaluate(rec, by_name) == evaluate(rec, by_mode)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: EvalConfig(weight_mode="bogus"),
+    lambda: EvalConfig(rank_tie_mode=3),
+    lambda: EvalConfig(weight_mode=RankTieMode.PAPER),
+    lambda: rank(np.ones(3), "bogus"),
+    lambda: spearman(np.arange(3.0), np.arange(3.0), "bogus"),
+], ids=["weight-name", "tie-int", "weight-from-tie-mode", "rank", "spearman"])
+def test_a_value_that_names_no_mode_raises(call) -> None:
+    with pytest.raises(ValueError, match="is not a valid"):
+        call()
+
+
 def records_with_scores(e, u, rng) -> EvaluationRecords:
     n = len(e)
     return EvaluationRecords(e, u, rng.normal(size=n), rng.uniform(size=n))

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from uqeval.experiments import density_grid_csv
 from uqeval.metrics import nll
 from uqeval import cores, predictors
 from uqeval.cores import map_on_cores
-from uqeval.network import FORWARD_CHUNK_ROWS, forward, init_params
+from uqeval.network import FORWARD_CHUNK_ROWS, LAYER_SIZES, forward, init_params
 from uqeval.predictors import (
     ENSEMBLE_FORMAT,
     EnsemblePredictor,
@@ -472,6 +473,26 @@ def test_train_config_validation() -> None:
         train_ensemble(LabeledSet(np.array([]), np.array([])), SMALL)
 
 
+@pytest.mark.parametrize("value", [True, 2.0, np.int64(2), 2],
+                         ids=["bool", "float", "int64", "int"])
+@pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig)])
+def test_a_config_is_refused_or_trains_saves_and_loads_back(tmp_path, field, value) -> None:
+    # one rule for training and loading: every field an exact int, so no
+    # config trains into a file the loader refuses
+    small = TrainConfig(ensemble_size=1, epochs=1, batch_size=64)
+    if type(value) is not int:
+        with pytest.raises(ValueError, match=f"^'{field}' must be an integer, got "):
+            replace(small, **{field: value})
+        return
+    config = replace(small, **{field: value})
+    de = train_ensemble(small_train_set(), config)
+    save_ensemble(de, tmp_path / "model.npz")
+    back = load_ensemble(tmp_path / "model.npz")
+    assert back.config == config and back.history == de.history
+    for a, b in zip(de.members, back.members):
+        assert [x.tobytes() for x in a.arrays()] == [y.tobytes() for y in b.arrays()]
+
+
 # ----------------------------------------------------------------- persistence
 
 def test_save_load_round_trip(tmp_path) -> None:
@@ -491,6 +512,19 @@ def test_save_load_round_trip(tmp_path) -> None:
     b = back.predict(x)
     assert np.array_equal(np.asarray(a.mean), np.asarray(b.mean))
     assert np.array_equal(np.asarray(a.variance), np.asarray(b.variance))
+
+
+def test_model_archive_layout(tmp_path) -> None:
+    # the entry order decides the zip bytes on every CPU class
+    path = tmp_path / "model.npz"
+    save_ensemble(train_ensemble(small_train_set(), SMALL), path)
+    with np.load(path) as archive:
+        names = archive.files
+        meta = json.loads(str(archive["config_json"]))
+    assert names == ["format", "config_json", "history"] + [
+        f"member{j}_{p}{i}" for j in range(2) for i in range(len(LAYER_SIZES) - 1) for p in "wb"]
+    adam = ["learning_rate", "beta1", "beta2", "eps"]
+    assert sorted(meta) == sorted([f.name for f in fields(TrainConfig)] + adam)
 
 
 def test_load_rejects_unknown_format(tmp_path) -> None:
